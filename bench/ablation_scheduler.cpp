@@ -122,7 +122,7 @@ void ablate_identity_only() {
     auto t0 = std::chrono::steady_clock::now();
     ScheduleResult r = schedule(p, o);
     auto t1 = std::chrono::steady_clock::now();
-    std::printf("  identity_only=%-5s %.1f ms, tile depth=%d\n",
+    std::printf("  identity_only=%-5s %.2f ms, tile depth=%d\n",
                 approx ? "true" : "false",
                 std::chrono::duration<double, std::milli>(t1 - t0).count(),
                 r.groups[0].tile_depth());

@@ -1,5 +1,6 @@
 #include "poly/polyhedron.hpp"
 
+#include <optional>
 #include <sstream>
 
 namespace pp::poly {
@@ -38,9 +39,128 @@ std::vector<LpConstraint> Polyhedron::lp_constraints() const {
   return out;
 }
 
+namespace {
+
+BoundResult closed(LpStatus status, Rat value = Rat(0)) {
+  return {status, value, true};
+}
+
+// Bounded 2-D LP: the optimum sits on a vertex, and every vertex is the
+// intersection of two independent rows. Candidates are kept exactly as
+// (X, Y) / det with det > 0, so a row a·x + k >= 0 holds at a candidate iff
+// a0·X + a1·Y + k·det >= 0. Checked i128 arithmetic throws on overflow.
+BoundResult vertex_walk_min(const std::vector<Constraint>& cs,
+                            const AffineExpr& obj) {
+  std::optional<Rat> best;
+  for (std::size_t r = 0; r < cs.size(); ++r) {
+    const AffineExpr& er = cs[r].expr;
+    for (std::size_t s = r + 1; s < cs.size(); ++s) {
+      const AffineExpr& es = cs[s].expr;
+      i128 det = sub_checked(mul_checked(er.coeff(0), es.coeff(1)),
+                             mul_checked(er.coeff(1), es.coeff(0)));
+      if (det == 0) continue;
+      // Cramer's rule on a_r·x = -k_r, a_s·x = -k_s.
+      i128 x = sub_checked(mul_checked(es.const_term(), er.coeff(1)),
+                           mul_checked(er.const_term(), es.coeff(1)));
+      i128 y = sub_checked(mul_checked(er.const_term(), es.coeff(0)),
+                           mul_checked(es.const_term(), er.coeff(0)));
+      if (det < 0) {
+        det = -det;
+        x = -x;
+        y = -y;
+      }
+      bool feasible = true;
+      for (const auto& c : cs) {
+        i128 v = add_checked(
+            add_checked(mul_checked(c.expr.coeff(0), x),
+                        mul_checked(c.expr.coeff(1), y)),
+            mul_checked(c.expr.const_term(), det));
+        if (c.equality ? v != 0 : v < 0) {
+          feasible = false;
+          break;
+        }
+      }
+      if (!feasible) continue;
+      Rat value(add_checked(mul_checked(obj.coeff(0), x),
+                            mul_checked(obj.coeff(1), y)),
+                det);
+      if (!best || value < *best) best = value;
+    }
+  }
+  return best ? closed(LpStatus::kOptimal, *best)
+              : closed(LpStatus::kInfeasible);
+}
+
+// The closed-form tiers; nullopt hands the LP to the simplex.
+std::optional<BoundResult> closed_form_min(std::size_t dim,
+                                           const std::vector<Constraint>& cs,
+                                           const AffineExpr& obj) {
+  // Bounds each variable gets from the rows that mention only it.
+  std::vector<std::optional<Rat>> lo(dim), hi(dim);
+  bool separable = true;
+  for (const auto& c : cs) {
+    std::size_t var = dim, nonzeros = 0;
+    for (std::size_t j = 0; j < dim; ++j) {
+      if (c.expr.coeff(j) != 0) {
+        var = j;
+        ++nonzeros;
+      }
+    }
+    if (nonzeros > 1) {
+      separable = false;
+      continue;
+    }
+    i64 k = c.expr.const_term();
+    if (nonzeros == 0) {
+      // A violated constant row empties the whole system.
+      if (c.equality ? k != 0 : k < 0) return closed(LpStatus::kInfeasible);
+      continue;
+    }
+    // a·x + k >= 0 (== 0)  <=>  x >= -k/a for a > 0, x <= -k/a for a < 0.
+    i64 a = c.expr.coeff(var);
+    Rat bound(-static_cast<i128>(k), a);
+    if ((c.equality || a > 0) && (!lo[var] || bound > *lo[var]))
+      lo[var] = bound;
+    if ((c.equality || a < 0) && (!hi[var] || bound < *hi[var]))
+      hi[var] = bound;
+  }
+  // Contradictory single-variable rows empty the whole system too.
+  for (std::size_t j = 0; j < dim; ++j)
+    if (lo[j] && hi[j] && *lo[j] > *hi[j]) return closed(LpStatus::kInfeasible);
+  if (separable) {
+    // Feasible box: each variable sits at the bound its coefficient
+    // pushes it to; a missing bound there makes the objective unbounded.
+    Rat value(0);
+    for (std::size_t j = 0; j < dim; ++j) {
+      i64 o = obj.coeff(j);
+      if (o == 0) continue;
+      const std::optional<Rat>& at = o > 0 ? lo[j] : hi[j];
+      if (!at) return closed(LpStatus::kUnbounded);
+      value += Rat(o) * *at;
+    }
+    return closed(LpStatus::kOptimal, value);
+  }
+  if (dim == 2 && lo[0] && hi[0] && lo[1] && hi[1])
+    return vertex_walk_min(cs, obj);
+  return std::nullopt;
+}
+
+}  // namespace
+
+BoundResult Polyhedron::solve(const AffineExpr& objective) const {
+  try {
+    if (std::optional<BoundResult> b =
+            closed_form_min(dim_, constraints_, objective))
+      return *b;
+  } catch (const Error&) {
+    // An intermediate overflowed i128: leave the problem to the simplex.
+  }
+  LpResult r = lp_minimize(dim_, lp_constraints(), objective.as_rat_vec());
+  return {r.status, r.objective, false};
+}
+
 bool Polyhedron::is_rational_empty() const {
-  LpResult r = lp_minimize(dim_, lp_constraints(), RatVec(dim_, Rat(0)));
-  return r.status == LpStatus::kInfeasible;
+  return solve(AffineExpr(dim_)).status == LpStatus::kInfeasible;
 }
 
 bool Polyhedron::is_integer_empty(u64 enumeration_cap) const {
@@ -55,11 +175,9 @@ bool Polyhedron::is_integer_empty(u64 enumeration_cap) const {
 
 BoundResult Polyhedron::minimize(const AffineExpr& objective) const {
   PP_CHECK(objective.dim() == dim_, "objective dimension mismatch");
-  LpResult r = lp_minimize(dim_, lp_constraints(), objective.as_rat_vec());
-  BoundResult b;
-  b.status = r.status;
-  if (r.status == LpStatus::kOptimal)
-    b.value = r.objective + Rat(objective.const_term());
+  BoundResult b = solve(objective);
+  if (b.status == LpStatus::kOptimal)
+    b.value += Rat(objective.const_term());
   return b;
 }
 

@@ -4,8 +4,18 @@
 // scheduler asks LP questions about (products of) them.
 //
 // Integer questions (membership, point counting/enumeration) are exact for
-// bounded polyhedra via LP-guided recursive enumeration; rational
-// questions (emptiness, min/max of an affine form) use the exact simplex.
+// bounded polyhedra via LP-guided recursive enumeration. Rational questions
+// (emptiness, min/max of an affine form) are exact LPs, answered in closed
+// form for the two shapes folding emits almost exclusively and by the
+// exact simplex otherwise:
+//  1. separable systems (every row has at most one nonzero coefficient:
+//     boxes, pinned variables, constant rows) are solved per variable;
+//  2. bounded 2-D systems (both variables boxed by single-variable rows)
+//     are solved by walking the vertices;
+//  3. everything else goes to lp_minimize.
+// The status and value are the simplex's by construction: an LP over a
+// box separates by variable, and a bounded 2-D LP attains its optimum at
+// a vertex.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +32,7 @@ namespace pp::poly {
 struct BoundResult {
   LpStatus status = LpStatus::kInfeasible;
   Rat value;  ///< valid when status == kOptimal
+  bool closed_form = false;  ///< answered without the simplex
 };
 
 class Polyhedron {
@@ -92,6 +103,8 @@ class Polyhedron {
 
  private:
   std::vector<LpConstraint> lp_constraints() const;
+  /// Minimum of the linear part of `objective` (constant term ignored).
+  BoundResult solve(const AffineExpr& objective) const;
   void enumerate_rec(std::vector<i64>& prefix, u64 cap, u64& count,
                      std::vector<std::vector<i64>>* out, bool& overflow) const;
 

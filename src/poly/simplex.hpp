@@ -1,8 +1,9 @@
-// Exact rational two-phase primal simplex. This is the single LP kernel
-// behind every polyhedral question polyprof asks: emptiness of dependence
+// Exact rational two-phase primal simplex: the general LP kernel behind
+// the polyhedral questions polyprof asks — emptiness of dependence
 // polyhedra, variable bounds for lattice-point enumeration, and legality /
 // carrying-strength of candidate schedule rows (min of the schedule latency
-// difference over a dependence polyhedron).
+// difference over a dependence polyhedron). Polyhedron answers box and
+// bounded 2-D systems in closed form and calls this for everything else.
 //
 // Problems are stated over *free* variables x with inequality constraints
 //   a·x >= b

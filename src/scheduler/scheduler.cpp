@@ -20,6 +20,19 @@ struct DepVerdict {
   bool zero = true;      ///< distance identically 0 (parallelism)
 };
 
+// LP traffic of one group's search. Each group tallies its own and
+// schedule() sums them after the fan-out, so the totals are the same at
+// any lane count.
+struct LpCounts {
+  i64 lp_solves = 0;           ///< legality LPs the simplex answered
+  i64 closed_form_hits = 0;    ///< legality LPs answered in closed form
+  i64 verdict_cache_hits = 0;  ///< (row, dep) verdicts reused in a group
+};
+
+void tally(LpCounts& n, const poly::BoundResult& b) {
+  ++(b.closed_form ? n.closed_form_hits : n.lp_solves);
+}
+
 // phi_dst(t) - phi_src(A(t)) as an affine expression over dst coordinates,
 // restricted to the statements' COMMON loop levels. Beyond the common
 // nesting the dependence is loop-independent: it is satisfied by the
@@ -52,7 +65,8 @@ poly::AffineExpr latency_diff(const std::vector<i64>& row, std::size_t common,
 }
 
 DepVerdict check_dep(const std::vector<i64>& row, const SchedStatement& src,
-                     const SchedStatement& dst, const SchedDep& dep) {
+                     const SchedStatement& dst, const SchedDep& dep,
+                     LpCounts& n) {
   DepVerdict v;
   std::size_t common = shared_depth(src, dst);
   if (common == 0) {
@@ -70,6 +84,7 @@ DepVerdict check_dep(const std::vector<i64>& row, const SchedStatement& src,
     }
     poly::AffineExpr diff = latency_diff(row, common, dst.depth, piece);
     poly::BoundResult lo = piece.dst_domain.minimize(diff);
+    tally(n, lo);
     if (lo.status == poly::LpStatus::kInfeasible) continue;  // empty piece
     if (lo.status != poly::LpStatus::kOptimal) {
       // Unbounded below: cannot be legal.
@@ -84,6 +99,7 @@ DepVerdict check_dep(const std::vector<i64>& row, const SchedStatement& src,
     bool piece_zero = false;
     if (v.zero && lo.value == Rat(0)) {
       poly::BoundResult hi = piece.dst_domain.maximize(diff);
+      tally(n, hi);
       piece_zero =
           hi.status == poly::LpStatus::kOptimal && hi.value == Rat(0);
     }
@@ -148,7 +164,7 @@ bool lin_indep(const std::vector<std::vector<i64>>& rows,
 
 // Schedules one fused group of statements.
 GroupSchedule schedule_group(const Problem& problem, std::vector<int> stmts,
-                             const Options& opts) {
+                             const Options& opts, LpCounts& n) {
   GroupSchedule g;
   std::sort(stmts.begin(), stmts.end());
   g.stmts = stmts;
@@ -194,11 +210,13 @@ GroupSchedule schedule_group(const Problem& problem, std::vector<int> stmts,
                                                 deps.size());
   auto checked = [&](std::size_t ci, std::size_t di) -> const DepVerdict& {
     std::optional<DepVerdict>& slot = vcache[ci * deps.size() + di];
-    if (!slot) {
-      const SchedDep& d = *deps[di];
-      slot = check_dep(candidates[ci].row, *by_id.at(d.src),
-                       *by_id.at(d.dst), d);
+    if (slot) {
+      ++n.verdict_cache_hits;
+      return *slot;
     }
+    const SchedDep& d = *deps[di];
+    slot = check_dep(candidates[ci].row, *by_id.at(d.src), *by_id.at(d.dst),
+                     d, n);
     return *slot;
   };
 
@@ -410,6 +428,7 @@ ScheduleResult schedule(const Problem& problem, const Options& opts) {
                   static_cast<i64>(problem.statements.size()));
   }
   res.groups.resize(groups.size());
+  std::vector<LpCounts> counts(groups.size());
   auto run_group = [&](std::size_t i) {
     // Per-group checkpoint: parallel_for rethrows the first exception at
     // the join, so a mid-schedule cancel surfaces exactly like a serial
@@ -417,12 +436,24 @@ ScheduleResult schedule(const Problem& problem, const Options& opts) {
     // deadline; worker tasks never mutate the token).
     if (opts.cancel != nullptr && opts.cancel->cancelled())
       throw Error("job cancelled during scheduling");
-    res.groups[i] = schedule_group(problem, std::move(groups[i]), opts);
+    res.groups[i] =
+        schedule_group(problem, std::move(groups[i]), opts, counts[i]);
   };
   if (opts.pool != nullptr) {
     opts.pool->parallel_for(groups.size(), run_group);
   } else {
     for (std::size_t i = 0; i < groups.size(); ++i) run_group(i);
+  }
+  if (opts.obs != nullptr) {
+    LpCounts total;
+    for (const LpCounts& c : counts) {
+      total.lp_solves += c.lp_solves;
+      total.closed_form_hits += c.closed_form_hits;
+      total.verdict_cache_hits += c.verdict_cache_hits;
+    }
+    opts.obs->add("sched.lp_solves", total.lp_solves);
+    opts.obs->add("sched.closed_form_hits", total.closed_form_hits);
+    opts.obs->add("sched.verdict_cache_hits", total.verdict_cache_hits);
   }
   // Execution order: by first statement id (ids are first-touch order).
   std::sort(res.groups.begin(), res.groups.end(),

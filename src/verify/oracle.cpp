@@ -332,8 +332,8 @@ struct ClaimChecker {
         const scheduler::Level& lv = g.levels[li];
         if (li == 0 || lv.new_band) band_satisfied = satisfied;
         i128 dist = distance(lv, shared, t, s);
-        std::ostringstream det;
         auto detail = [&]() {
+          std::ostringstream det;
           det << "distance " << static_cast<long long>(dist)
               << " at instance (";
           for (std::size_t j = 0; j < t.size(); ++j)

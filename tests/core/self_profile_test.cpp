@@ -128,5 +128,28 @@ TEST(SelfProfile, StableSectionElidesTimesButTimedSectionHasThem) {
   EXPECT_NE(t.find("pool.tasks"), std::string::npos);
 }
 
+// Legality LP counters are stable, and each tier is exercised: every
+// piece hotspot3D's scheduler queries is a box (closed form, no simplex),
+// while particlefilter's 3-D octagon pieces still need the simplex.
+TEST(SelfProfile, SchedulerLpCountersSplitClosedFormFromSimplex) {
+  auto counters_after_report = [](const char* name) {
+    workloads::Workload wl = workloads::make_rodinia(name);
+    core::ProfileResult r = observed_run(wl.module, 2);
+    core::full_report(r);
+    return r.obs->counters();
+  };
+  auto hot = counters_after_report("hotspot3D");
+  for (const char* c : {"sched.lp_solves", "sched.closed_form_hits",
+                        "sched.verdict_cache_hits"})
+    EXPECT_EQ(hot.at(c).stability, obs::Stability::kStable) << c;
+  EXPECT_GT(hot.at("sched.closed_form_hits").value, 0);
+  EXPECT_EQ(hot.at("sched.lp_solves").value, 0);
+  EXPECT_GT(hot.at("sched.verdict_cache_hits").value, 0);
+
+  auto pf = counters_after_report("particlefilter");
+  EXPECT_GT(pf.at("sched.lp_solves").value, 0);
+  EXPECT_GT(pf.at("sched.closed_form_hits").value, 0);
+}
+
 }  // namespace
 }  // namespace pp

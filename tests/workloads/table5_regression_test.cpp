@@ -22,6 +22,13 @@ struct Expectation {
   bool interproc;            // any hot region spans functions
 };
 
+// Without this gtest prints the raw struct bytes, name pointer included,
+// so the listed test names (and the ctest names discovered from them)
+// change with the load address on every relink.
+void PrintTo(const Expectation& e, std::ostream* os) {
+  *os << '"' << e.name << '"';
+}
+
 // Bands are deliberately loose (the exact values depend on workload
 // constants) but tight enough to pin the paper-relevant shape:
 // affine benchmarks stay high, lud/nn/particlefilter stay low,
