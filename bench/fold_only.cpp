@@ -26,9 +26,10 @@ using namespace pp;
 namespace {
 
 // The regression budget for the recorded cfd stream. Seed folded it in
-// ~3660 ms; the stride-run/closed-form-count folder does it in ~25 ms.
-// 400 ms leaves >10x headroom over the measured time for slow CI boxes
-// while still failing loudly on any asymptotic regression.
+// ~3660 ms; the streaming folder with its i128 refit/hull tier does it in
+// 22-32 ms (min of 5 per run, five runs, RelWithDebInfo on a shared 4-vCPU
+// x86-64 host). 400 ms leaves >10x headroom over the measured time for
+// slow CI boxes while still failing loudly on any asymptotic regression.
 constexpr double kCfdBudgetMs = 400.0;
 constexpr int kReps = 5;
 

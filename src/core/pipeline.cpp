@@ -193,7 +193,6 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   obs::Span ddg_span(ob, "stage:ddg");
   fold::FoldingSink sink(opts.fold);
   sink.set_diagnostics(&res.diagnostics);
-  sink.set_pool(pool.get());
   sink.set_budget(&budget);
   sink.set_obs(ob);
   sink.set_cancel(opts.cancel);

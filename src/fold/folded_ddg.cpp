@@ -1,6 +1,7 @@
 #include "fold/folded_ddg.hpp"
 
 #include <algorithm>
+#include <map>
 
 namespace pp::fold {
 
@@ -128,74 +129,26 @@ void taint_pieces(poly::PolySet& set) {
   }
 }
 
-}  // namespace
+// Field widths of a packed DepKey: statement ids below 2^30, four
+// dependence kinds, operand slots 0..3.
+constexpr int kIdBits = 30;
 
-void FoldingSink::on_instruction(const ddg::Statement& s,
-                                 std::span<const i64> coords, bool has_value,
-                                 i64 value, bool has_address, i64 address) {
-  if (buffered()) {
-    // Parallel mode: defer the (expensive) Folder::add calls to the
-    // phase-A fan-out; streaming just appends to flat buffers. Each
-    // stream's relative event order is preserved, so the replayed folds
-    // are bit-identical to the inline ones.
-    auto& b = stmt_buf_[s.id];
-    if (!b.dim_set) {
-      b.dim = coords.size();
-      b.dim_set = true;
-    }
-    ++b.domain_points;
-    b.domain.insert(b.domain.end(), coords.begin(), coords.end());
-    if (has_value && scev_candidate(s.op)) {
-      b.value.insert(b.value.end(), coords.begin(), coords.end());
-      b.value.push_back(value);
-    }
-    if (has_address) {
-      b.address.insert(b.address.end(), coords.begin(), coords.end());
-      b.address.push_back(address);
-    }
-    return;
-  }
-  auto& streams = stmts_[s.id];
-  std::size_t d = coords.size();
-  if (!streams.domain)
-    streams.domain = std::make_unique<Folder>(d, 0, opts_);
-  streams.domain->add(coords, {});
-  if (has_value && scev_candidate(s.op)) {
-    if (!streams.value)
-      streams.value = std::make_unique<Folder>(d, 1, opts_);
-    i64 lab[1] = {value};
-    streams.value->add(coords, lab);
-  }
-  if (has_address) {
-    if (!streams.address)
-      streams.address = std::make_unique<Folder>(d, 1, opts_);
-    i64 lab[1] = {address};
-    streams.address->add(coords, lab);
-  }
+u64 dep_key(int src, int dst, ddg::DepKind kind, int slot) {
+  PP_CHECK(src >= 0 && src < (1 << kIdBits) && dst >= 0 &&
+               dst < (1 << kIdBits) && slot >= 0 && slot < 4 &&
+               static_cast<unsigned>(kind) < 4,
+           "fold: dependence key out of range");
+  return static_cast<u64>(src) << (kIdBits + 4) |
+         static_cast<u64>(dst) << 4 | static_cast<u64>(kind) << 2 |
+         static_cast<u64>(slot);
 }
-
-void FoldingSink::on_dependence(ddg::DepKind kind, int src_stmt,
-                                std::span<const i64> src_coords, int dst_stmt,
-                                std::span<const i64> dst_coords, int slot) {
-  DepKey key{src_stmt, dst_stmt, kind, slot};
-  if (buffered()) {
-    auto& b = dep_buf_[key];
-    if (b.points == 0) {
-      b.dst_dim = dst_coords.size();
-      b.src_dim = src_coords.size();
-    }
-    ++b.points;
-    b.rows.insert(b.rows.end(), dst_coords.begin(), dst_coords.end());
-    b.rows.insert(b.rows.end(), src_coords.begin(), src_coords.end());
-    return;
-  }
-  auto& f = deps_[key];
-  if (!f)
-    f = std::make_unique<Folder>(dst_coords.size(), src_coords.size(), opts_);
-  f->add(dst_coords, src_coords);
+int key_src(u64 k) { return static_cast<int>(k >> (kIdBits + 4)); }
+int key_dst(u64 k) {
+  return static_cast<int>((k >> 4) & ((u64{1} << kIdBits) - 1));
 }
-
-namespace {
+ddg::DepKind key_kind(u64 k) {
+  return static_cast<ddg::DepKind>((k >> 2) & 3);
+}
 
 inline i64 wadd(i64 a, i64 b) {
   return static_cast<i64>(static_cast<u64>(a) + static_cast<u64>(b));
@@ -207,162 +160,86 @@ inline void advance(std::vector<i64>& v, std::span<const i64> stride) {
 
 }  // namespace
 
+FoldingSink::StmtStreams& FoldingSink::streams(int stmt_id) {
+  const auto i = static_cast<std::size_t>(stmt_id);
+  if (i >= stmts_.size()) stmts_.resize(i + 1);
+  return stmts_[i];
+}
+
+Folder& FoldingSink::dep_folder(DepKey key, std::size_t dst_dim,
+                                std::size_t src_dim) {
+  DepSlot& slot = dep_cache_[(key * 0x9e3779b97f4a7c15ull) >> 58];
+  if (slot.folder != nullptr && slot.key == key) return *slot.folder;
+  auto& f = deps_[key];
+  if (!f) f = std::make_unique<Folder>(dst_dim, src_dim, opts_);
+  slot = {key, f.get()};
+  return *f;
+}
+
+void FoldingSink::on_instruction(const ddg::Statement& s,
+                                 std::span<const i64> coords, bool has_value,
+                                 i64 value, bool has_address, i64 address) {
+  StmtStreams& st = streams(s.id);
+  std::size_t d = coords.size();
+  if (!st.domain) st.domain = std::make_unique<Folder>(d, 0, opts_);
+  st.domain->add(coords, {});
+  if (has_value && scev_candidate(s.op)) {
+    if (!st.value) st.value = std::make_unique<Folder>(d, 1, opts_);
+    i64 lab[1] = {value};
+    st.value->add(coords, lab);
+  }
+  if (has_address) {
+    if (!st.address) st.address = std::make_unique<Folder>(d, 1, opts_);
+    i64 lab[1] = {address};
+    st.address->add(coords, lab);
+  }
+}
+
+void FoldingSink::on_dependence(ddg::DepKind kind, int src_stmt,
+                                std::span<const i64> src_coords, int dst_stmt,
+                                std::span<const i64> dst_coords, int slot) {
+  dep_folder(dep_key(src_stmt, dst_stmt, kind, slot), dst_coords.size(),
+             src_coords.size())
+      .add(dst_coords, src_coords);
+}
+
 void FoldingSink::on_instruction_run(const InstrRun& r) {
   if (r.n == 0) return;
   const ddg::Statement& s = *r.stmt;
-  const bool fold_value = r.has_value && scev_candidate(s.op);
-  if (buffered()) {
-    auto& b = stmt_buf_[s.id];
-    if (!b.dim_set) {
-      b.dim = r.coords.size();
-      b.dim_set = true;
-    }
-    b.domain_points += r.n;
-    std::vector<i64> coords(r.coords.begin(), r.coords.end());
-    i64 value = r.value;
-    i64 address = r.address;
-    for (u64 t = 0; t < r.n; ++t) {
-      if (fold_value && !r.value_affine) value = r.values[t];
-      if (r.has_address && !r.address_affine) address = r.addresses[t];
-      b.domain.insert(b.domain.end(), coords.begin(), coords.end());
-      if (fold_value) {
-        b.value.insert(b.value.end(), coords.begin(), coords.end());
-        b.value.push_back(value);
-      }
-      if (r.has_address) {
-        b.address.insert(b.address.end(), coords.begin(), coords.end());
-        b.address.push_back(address);
-      }
-      advance(coords, r.coord_stride);
-      value = wadd(value, r.value_stride);
-      address = wadd(address, r.address_stride);
-    }
-    return;
-  }
-  auto& streams = stmts_[s.id];
+  StmtStreams& st = streams(s.id);
   const std::size_t d = r.coords.size();
-  if (!streams.domain)
-    streams.domain = std::make_unique<Folder>(d, 0, opts_);
-  streams.domain->add_run(r.coords, {}, r.coord_stride, {}, r.n);
-  if (fold_value) {
-    if (!streams.value)
-      streams.value = std::make_unique<Folder>(d, 1, opts_);
-    if (r.value_affine) {
-      const i64 lab[1] = {r.value};
-      const i64 ls[1] = {r.value_stride};
-      streams.value->add_run(r.coords, lab, r.coord_stride, ls, r.n);
-    } else {
-      std::vector<i64> coords(r.coords.begin(), r.coords.end());
-      for (u64 t = 0; t < r.n; ++t) {
-        const i64 lab[1] = {r.values[t]};
-        streams.value->add(coords, lab);
-        advance(coords, r.coord_stride);
-      }
+  if (!st.domain) st.domain = std::make_unique<Folder>(d, 0, opts_);
+  st.domain->add_run(r.coords, {}, r.coord_stride, {}, r.n);
+  // One label stream: affine labels fold as one run, verbatim ones point
+  // by point along the coordinate stride.
+  auto fold_labels = [&](std::unique_ptr<Folder>& f, bool affine, i64 base,
+                         i64 stride, std::span<const i64> verbatim) {
+    if (!f) f = std::make_unique<Folder>(d, 1, opts_);
+    if (affine) {
+      const i64 lab[1] = {base};
+      const i64 ls[1] = {stride};
+      f->add_run(r.coords, lab, r.coord_stride, ls, r.n);
+      return;
     }
-  }
-  if (r.has_address) {
-    if (!streams.address)
-      streams.address = std::make_unique<Folder>(d, 1, opts_);
-    if (r.address_affine) {
-      const i64 lab[1] = {r.address};
-      const i64 ls[1] = {r.address_stride};
-      streams.address->add_run(r.coords, lab, r.coord_stride, ls, r.n);
-    } else {
-      std::vector<i64> coords(r.coords.begin(), r.coords.end());
-      for (u64 t = 0; t < r.n; ++t) {
-        const i64 lab[1] = {r.addresses[t]};
-        streams.address->add(coords, lab);
-        advance(coords, r.coord_stride);
-      }
+    std::vector<i64> coords(r.coords.begin(), r.coords.end());
+    for (u64 t = 0; t < r.n; ++t) {
+      const i64 lab[1] = {verbatim[t]};
+      f->add(coords, lab);
+      advance(coords, r.coord_stride);
     }
-  }
+  };
+  if (r.has_value && scev_candidate(s.op))
+    fold_labels(st.value, r.value_affine, r.value, r.value_stride, r.values);
+  if (r.has_address)
+    fold_labels(st.address, r.address_affine, r.address, r.address_stride,
+                r.addresses);
 }
 
 void FoldingSink::on_dependence_run(const DepRun& r) {
   if (r.n == 0) return;
-  DepKey key{r.src_stmt, r.dst_stmt, r.kind, r.slot};
-  if (buffered()) {
-    auto& b = dep_buf_[key];
-    if (b.points == 0) {
-      b.dst_dim = r.dst_coords.size();
-      b.src_dim = r.src_coords.size();
-    }
-    b.points += r.n;
-    std::vector<i64> dst(r.dst_coords.begin(), r.dst_coords.end());
-    std::vector<i64> src(r.src_coords.begin(), r.src_coords.end());
-    for (u64 t = 0; t < r.n; ++t) {
-      b.rows.insert(b.rows.end(), dst.begin(), dst.end());
-      b.rows.insert(b.rows.end(), src.begin(), src.end());
-      advance(dst, r.dst_stride);
-      advance(src, r.src_stride);
-    }
-    return;
-  }
-  auto& f = deps_[key];
-  if (!f)
-    f = std::make_unique<Folder>(r.dst_coords.size(), r.src_coords.size(),
-                                 opts_);
-  f->add_run(r.dst_coords, r.src_coords, r.dst_stride, r.src_stride, r.n);
-}
-
-FoldingSink::StmtOutcome FoldingSink::fold_stmt_buffer(
-    const StmtBuffer& b) const {
-  StmtOutcome out;
-  // Cancelled job: skip the work. The empty outcome is irrelevant — by
-  // coherence the merge loop observes the token at this slot's position
-  // too and degrades the statement without reading the outcome.
-  if (cancel_ != nullptr && cancel_->cancelled()) return out;
-  // Same stream order and the same single try as the inline path: a fault
-  // keeps whatever streams finished before it and loses the rest.
-  try {
-    {
-      Folder dom(b.dim, 0, opts_);
-      const i64* p = b.domain.data();
-      for (u64 i = 0; i < b.domain_points; ++i, p += b.dim)
-        dom.add(std::span<const i64>(p, b.dim), {});
-      out.domain = dom.finish();
-    }
-    if (!b.value.empty()) {
-      Folder val(b.dim, 1, opts_);
-      const std::size_t stride = b.dim + 1;
-      for (const i64* p = b.value.data(); p != b.value.data() + b.value.size();
-           p += stride)
-        val.add(std::span<const i64>(p, b.dim),
-                std::span<const i64>(p + b.dim, 1));
-      out.values = val.finish();
-    }
-    if (!b.address.empty()) {
-      Folder addr(b.dim, 1, opts_);
-      const std::size_t stride = b.dim + 1;
-      for (const i64* p = b.address.data();
-           p != b.address.data() + b.address.size(); p += stride)
-        addr.add(std::span<const i64>(p, b.dim),
-                 std::span<const i64>(p + b.dim, 1));
-      out.addresses = addr.finish();
-    }
-  } catch (const Error& e) {
-    out.fault = true;
-    out.fault_reason = e.what();
-  }
-  return out;
-}
-
-FoldingSink::DepOutcome FoldingSink::fold_dep_buffer(const DepBuffer& b) const {
-  DepOutcome out;
-  if (cancel_ != nullptr && cancel_->cancelled()) return out;
-  try {
-    Folder f(b.dst_dim, b.src_dim, opts_);
-    const std::size_t stride = b.dst_dim + b.src_dim;
-    const i64* p = b.rows.data();
-    for (u64 i = 0; i < b.points; ++i, p += stride)
-      f.add(std::span<const i64>(p, b.dst_dim),
-            std::span<const i64>(p + b.dst_dim, b.src_dim));
-    out.relation = f.finish();
-  } catch (const Error& e) {
-    out.fault = true;
-    out.fault_reason = e.what();
-  }
-  return out;
+  dep_folder(dep_key(r.src_stmt, r.dst_stmt, r.kind, r.slot),
+             r.dst_coords.size(), r.src_coords.size())
+      .add_run(r.dst_coords, r.src_coords, r.dst_stride, r.src_stride, r.n);
 }
 
 FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
@@ -371,47 +248,10 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
   prog.statements.reserve(table.size());
   prog.total_dynamic_ops = table.total_executions();
 
-  // Phase A (parallel mode only): fold every buffered statement and
-  // dependence stream into pre-indexed outcome slots — one work-stealing
-  // task per stream, statements and edges in a single fan-out so long
-  // statement folds overlap with the edge folds. Tasks touch no shared
-  // state (faults are captured in the slot, diagnostics deferred), so
-  // phase B can merge in the serial order and reproduce the serial
-  // program and diagnostic sequence byte for byte.
-  std::map<int, StmtOutcome> stmt_outcomes;
   std::vector<DepKey> keys;
-  std::vector<DepOutcome> dep_outcomes;
-  if (buffered()) {
-    std::vector<const StmtBuffer*> sbufs;
-    std::vector<StmtOutcome*> souts;
-    sbufs.reserve(stmt_buf_.size());
-    souts.reserve(stmt_buf_.size());
-    for (auto& [id, b] : stmt_buf_) {
-      sbufs.push_back(&b);
-      souts.push_back(&stmt_outcomes[id]);
-    }
-    keys.reserve(dep_buf_.size());
-    for (const auto& [key, _] : dep_buf_) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());  // deterministic piece order
-    dep_outcomes.resize(keys.size());
-    const std::size_t num_stmts = sbufs.size();
-    obs::Span fanout_span(obs_, "fold:fanout");
-    if (obs_ != nullptr)
-      obs_->add("fold.refold_tasks",
-                static_cast<i64>(num_stmts + keys.size()),
-                obs::Stability::kTiming);
-    pool_->parallel_for(num_stmts + keys.size(), [&](std::size_t i) {
-      if (i < num_stmts)
-        *souts[i] = fold_stmt_buffer(*sbufs[i]);
-      else
-        dep_outcomes[i - num_stmts] =
-            fold_dep_buffer(dep_buf_.at(keys[i - num_stmts]));
-    });
-  } else {
-    keys.reserve(deps_.size());
-    for (const auto& [key, _] : deps_) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());  // deterministic piece order
-  }
+  keys.reserve(deps_.size());
+  for (const auto& [key, _] : deps_) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());  // deterministic piece order
 
   // Cancellation is observed at merge positions only (structural order):
   // once the token fires, every later statement/edge in the merge degrades
@@ -442,33 +282,17 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
     fs.meta = meta;
     bool degraded = degraded_.count(meta.id) != 0;
     if (merge_checkpoint()) {
-      // Drop the folded streams (in parallel mode phase A may not even
-      // have produced them); the statement survives as a degraded shell
-      // with its dynamic counters intact.
+      // Drop the folded streams; the statement survives as a degraded
+      // shell with its dynamic counters intact.
       degraded = true;
-    } else if (buffered()) {
-      auto oit = stmt_outcomes.find(meta.id);
-      if (oit != stmt_outcomes.end()) {
-        StmtOutcome& out = oit->second;
-        fs.domain = std::move(out.domain);
-        fs.values = std::move(out.values);
-        fs.addresses = std::move(out.addresses);
-        if (out.fault) {
-          degraded = true;
-          if (diag_ != nullptr)
-            diag_->error(support::Stage::kFold,
-                         "statement fold failed: " + out.fault_reason,
-                         meta.id);
-        }
-      }
-    } else if (auto it = stmts_.find(meta.id); it != stmts_.end()) {
-      auto& streams = it->second;
+    } else if (static_cast<std::size_t>(meta.id) < stmts_.size()) {
+      StmtStreams& st = stmts_[static_cast<std::size_t>(meta.id)];
       // Per-stream fault isolation: a folder fault loses this statement's
       // folds, not the whole program.
       try {
-        if (streams.domain) fs.domain = streams.domain->finish();
-        if (streams.value) fs.values = streams.value->finish();
-        if (streams.address) fs.addresses = streams.address->finish();
+        if (st.domain) fs.domain = st.domain->finish();
+        if (st.value) fs.values = st.value->finish();
+        if (st.address) fs.addresses = st.address->finish();
       } catch (const Error& e) {
         degraded = true;
         if (diag_ != nullptr)
@@ -477,9 +301,8 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
                        meta.id);
       }
     }
-    // Folder-piece budget, charged HERE in table order — never from the
-    // phase-A tasks — so exhaustion lands on the same statement at every
-    // thread count.
+    // Folder-piece budget, charged HERE in table order, so exhaustion
+    // lands on the same statement at every thread count.
     if (budget_ != nullptr && budget_->folder_pieces != 0) {
       std::size_t pieces = fs.domain.pieces().size() +
                            fs.values.pieces().size() +
@@ -527,9 +350,9 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
   // vanish. Demote to fixpoint along register-flow edges.
   {
     std::vector<std::pair<int, int>> reg_edges;
-    for (const DepKey& key : keys) {
-      if (std::get<2>(key) == ddg::DepKind::kRegFlow)
-        reg_edges.emplace_back(std::get<0>(key), std::get<1>(key));
+    for (const DepKey key : keys) {
+      if (key_kind(key) == ddg::DepKind::kRegFlow)
+        reg_edges.emplace_back(key_src(key), key_dst(key));
     }
     bool changed = true;
     while (changed) {
@@ -570,42 +393,22 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
     rel.add_piece(std::move(p));
     return rel;
   };
-  for (std::size_t ki = 0; ki < keys.size(); ++ki) {
-    const DepKey& key = keys[ki];
-    auto [src, dst, kind, slot] = key;
-    (void)slot;
+  for (const DepKey key : keys) {
+    const int src = key_src(key), dst = key_dst(key);
+    const ddg::DepKind kind = key_kind(key);
+    Folder& folder = *deps_.at(key);
     poly::PolySet rel;
     if (merge_checkpoint()) {
       // Cancelled: the edge survives as the maximal over-approximation so
       // the scheduler still sees it (sound, never silently dropped).
-      if (buffered()) {
-        const DepBuffer& b = dep_buf_.at(key);
-        rel = universe_fallback(b.dst_dim, b.src_dim, b.points);
-      } else {
-        Folder* folder = deps_.at(key).get();
-        rel = universe_fallback(folder->in_dim(), folder->label_dim(),
-                                folder->points_seen());
-      }
-    } else if (buffered()) {
-      DepOutcome& out = dep_outcomes[ki];
-      if (out.fault) {
-        const DepBuffer& b = dep_buf_.at(key);
-        rel = universe_fallback(b.dst_dim, b.src_dim, b.points);
-        if (diag_ != nullptr)
-          diag_->error(support::Stage::kFold,
-                       std::string("dependence fold failed (S") +
-                           std::to_string(src) + " -> S" +
-                           std::to_string(dst) + "): " + out.fault_reason);
-      } else {
-        rel = std::move(out.relation);
-      }
+      rel = universe_fallback(folder.in_dim(), folder.label_dim(),
+                              folder.points_seen());
     } else {
-      Folder* folder = deps_.at(key).get();
       try {
-        rel = folder->finish();
+        rel = folder.finish();
       } catch (const Error& e) {
-        rel = universe_fallback(folder->in_dim(), folder->label_dim(),
-                                folder->points_seen());
+        rel = universe_fallback(folder.in_dim(), folder.label_dim(),
+                                folder.points_seen());
         if (diag_ != nullptr)
           diag_->error(support::Stage::kFold,
                        std::string("dependence fold failed (S") +
@@ -653,16 +456,39 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
     for (const auto& d : prog.deps)
       pieces += static_cast<i64>(d.relation.pieces().size());
     obs_->set("fold.pieces", pieces);
-    obs_->set("fold.stmt_streams",
-              static_cast<i64>(buffered() ? stmt_buf_.size() : stmts_.size()));
+    i64 stmt_streams = 0;
+    u64 points = 0;
+    FolderStats work;
+    auto tally = [&](const Folder& f) {
+      const FolderStats& s = f.stats();
+      points += f.points_seen();
+      work.chain_defers += s.chain_defers;
+      work.refits += s.refits;
+      work.hull_extends += s.hull_extends;
+      work.int_fallbacks += s.int_fallbacks;
+    };
+    for (const StmtStreams& st : stmts_) {
+      if (!st.domain) continue;
+      ++stmt_streams;
+      for (const auto* f : {&st.domain, &st.value, &st.address})
+        if (*f) tally(**f);
+    }
+    for (const auto& [_, f] : deps_) tally(*f);
+    obs_->set("fold.stmt_streams", stmt_streams);
     obs_->set("fold.dep_streams", static_cast<i64>(keys.size()));
     obs_->set("fold.dep_edges", static_cast<i64>(prog.deps.size()));
     obs_->set("fold.pruned_dep_edges",
               static_cast<i64>(prog.pruned_dep_edges));
     obs_->set("fold.degraded_statements",
               static_cast<i64>(prog.degraded_statements));
-    // Hit pattern depends on fold scheduling (which worker closes a chunk
-    // first), so these are timing-class: excluded from the stable report.
+    // Folder work, summed over every stream: the fold is one streaming
+    // path at any thread count, so these are stable.
+    obs_->set("fold.points", static_cast<i64>(points));
+    obs_->set("fold.chain_defers", static_cast<i64>(work.chain_defers));
+    obs_->set("fold.refits", static_cast<i64>(work.refits));
+    obs_->set("fold.hull_extends", static_cast<i64>(work.hull_extends));
+    obs_->set("fold.int_fallbacks", static_cast<i64>(work.int_fallbacks));
+    // Timing-class, excluded from the stable report.
     obs_->set("fold.cache_hits", static_cast<i64>(cache_.hits()),
               obs::Stability::kTiming);
     obs_->set("fold.cache_misses", static_cast<i64>(cache_.misses()),

@@ -5,9 +5,11 @@
 // with SCEV chains pruned (paper §5).
 #pragma once
 
-#include <map>
+#include <array>
 #include <memory>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "ddg/ddg_builder.hpp"
 #include "fold/folder.hpp"
@@ -15,7 +17,6 @@
 #include "poly/dep_relation.hpp"
 #include "support/budget.hpp"
 #include "support/cancel.hpp"
-#include "support/thread_pool.hpp"
 
 namespace pp::fold {
 
@@ -103,8 +104,7 @@ class FoldingSink : public ddg::DdgSink {
                      std::span<const i64> src_coords, int dst_stmt,
                      std::span<const i64> dst_coords, int slot) override;
   /// Bulk entry points for compressed trace runs: one Folder::add_run per
-  /// stream (inline mode) or one buffer append per run (parallel mode)
-  /// instead of n scalar calls — bit-identical output either way.
+  /// stream instead of n scalar calls — bit-identical output.
   void on_instruction_run(const InstrRun& r) override;
   void on_dependence_run(const DepRun& r) override;
 
@@ -114,26 +114,18 @@ class FoldingSink : public ddg::DdgSink {
   void mark_degraded(const std::set<int>& stmt_ids);
   /// Destination for per-stream fold-fault diagnostics (may be null).
   void set_diagnostics(support::DiagnosticLog* diag) { diag_ = diag; }
-  /// Fan folding out on `pool` (null or serial pool = fold inline while
-  /// streaming, the reference behavior). Must be set before the first
-  /// event: with 2+ lanes the sink records events into compact per-stream
-  /// buffers and finalize() folds one task per statement / dependence key
-  /// into pre-indexed slots, merging in the serial order — the resulting
-  /// program and diagnostics are byte-identical to the serial fold.
-  void set_pool(support::ThreadPool* pool) { pool_ = pool; }
   /// Budget for the folder-piece cap (may be null). Charged in the
-  /// deterministic merge order, never from worker tasks, so exhaustion
-  /// degrades the same statements at every thread count.
+  /// deterministic merge order, so exhaustion degrades the same statements
+  /// at every thread count.
   void set_budget(support::RunBudget* budget) { budget_ = budget; }
-  /// Observability session (may be null). finalize() wraps its fan-out in
-  /// a span and publishes stream/piece counters; nothing touches the
-  /// streaming hot path.
+  /// Observability session (may be null). finalize() publishes stream,
+  /// piece and folder-work counters; nothing touches the streaming hot
+  /// path.
   void set_obs(obs::Session* obs) { obs_ = obs; }
   /// Cancellation token (may be null). finalize() polls it at every MERGE
-  /// position — never from phase-A worker tasks, which only probe it to
-  /// skip useless work — so a cancel observed mid-fold degrades the same
-  /// contiguous suffix of statements/edges at every thread count. The
-  /// already-merged prefix keeps its certified folds; the rest become
+  /// position, so a cancel observed mid-fold degrades the same contiguous
+  /// suffix of statements/edges at every thread count. The already-merged
+  /// prefix keeps its certified folds; the rest become
   /// over-approximations, exactly like budget exhaustion.
   void set_cancel(support::CancelToken* cancel) { cancel_ = cancel; }
   /// Chaos hook (ServiceFault::kDeadlineMidFold): fire the token as an
@@ -158,66 +150,28 @@ class FoldingSink : public ddg::DdgSink {
     std::unique_ptr<Folder> value;
     std::unique_ptr<Folder> address;
   };
-  using DepKey = std::tuple<int, int, ddg::DepKind, int>;  // src,dst,kind,slot
-  struct DepKeyHash {
-    std::size_t operator()(const DepKey& k) const {
-      return static_cast<std::size_t>(std::get<0>(k)) * 0x9e3779b97f4a7c15ull ^
-             static_cast<std::size_t>(std::get<1>(k)) * 0xc2b2ae3d27d4eb4full ^
-             (static_cast<std::size_t>(std::get<2>(k)) << 8) ^
-             static_cast<std::size_t>(std::get<3>(k));
-    }
-  };
-
-  /// Compact event record for the parallel fold: one flat coordinate
-  /// buffer per stream (arity is fixed per statement — the interned
-  /// context determines the depth), so phase A can replay each stream
-  /// into a fresh Folder without touching shared state.
-  struct StmtBuffer {
-    std::size_t dim = 0;
-    bool dim_set = false;
-    u64 domain_points = 0;
-    std::vector<i64> domain;   ///< domain_points x dim coords
-    std::vector<i64> value;    ///< rows of dim coords + 1 label
-    std::vector<i64> address;  ///< rows of dim coords + 1 label
-  };
-  struct DepBuffer {
-    std::size_t dst_dim = 0;
-    std::size_t src_dim = 0;
-    u64 points = 0;
-    std::vector<i64> rows;  ///< points x (dst_dim + src_dim)
-  };
-
-  /// Result of folding one statement's streams (phase A output slot).
-  struct StmtOutcome {
-    poly::PolySet domain{0};
-    poly::PolySet values{0};
-    poly::PolySet addresses{0};
-    bool fault = false;
-    std::string fault_reason;
-  };
-  /// Result of folding one dependence key (phase A output slot).
-  struct DepOutcome {
-    poly::PolySet relation{0};
-    bool fault = false;
-    std::string fault_reason;
-  };
-
-  bool buffered() const { return pool_ != nullptr && !pool_->serial(); }
-  StmtOutcome fold_stmt_buffer(const StmtBuffer& b) const;
-  DepOutcome fold_dep_buffer(const DepBuffer& b) const;
+  /// (src, dst, kind, slot) packed into one word whose unsigned order is
+  /// the tuple order (see dep_key in folded_ddg.cpp).
+  using DepKey = u64;
+  Folder& dep_folder(DepKey key, std::size_t dst_dim, std::size_t src_dim);
+  StmtStreams& streams(int stmt_id);
 
   FolderOptions opts_;
   /// Cross-statement piece interning: folders of every statement and
   /// dependence key share it, so identical closed chunks (same canonical
-  /// form) fold once. Thread-safe for the parallel re-fold path.
+  /// form) fold once.
   FoldCache cache_;
-  std::map<int, StmtStreams> stmts_;
-  std::unordered_map<DepKey, std::unique_ptr<Folder>, DepKeyHash> deps_;
-  std::map<int, StmtBuffer> stmt_buf_;
-  std::unordered_map<DepKey, DepBuffer, DepKeyHash> dep_buf_;
+  std::vector<StmtStreams> stmts_;  ///< indexed by statement id
+  std::unordered_map<DepKey, std::unique_ptr<Folder>> deps_;
+  /// Direct-mapped cache in front of deps_: the few keys a loop body
+  /// emits are found without a hash-table probe.
+  struct DepSlot {
+    DepKey key = 0;
+    Folder* folder = nullptr;
+  };
+  std::array<DepSlot, 64> dep_cache_{};
   std::set<int> degraded_;
   support::DiagnosticLog* diag_ = nullptr;
-  support::ThreadPool* pool_ = nullptr;
   support::RunBudget* budget_ = nullptr;
   obs::Session* obs_ = nullptr;
   support::CancelToken* cancel_ = nullptr;

@@ -6,20 +6,12 @@ namespace pp::fold {
 
 namespace {
 
-// Reduce [point 1] against RREF hull rows in place.
-void hull_reduce(const RatMatrix& hull, RatVec& v) {
-  std::size_t width = v.size();
-  for (std::size_t r = 0; r < hull.rows(); ++r) {
-    for (std::size_t c = 0; c < width; ++c) {
-      if (!hull.at(r, c).is_zero()) {
-        if (!v[c].is_zero()) {
-          Rat f = v[c];
-          for (std::size_t k = c; k < width; ++k) v[k] -= f * hull.at(r, k);
-        }
-        break;
-      }
-    }
-  }
+// Overwrite an equally sized vector element by element: run bookkeeping
+// runs once per streamed point, where vector::assign's library call is a
+// measurable share of the fold.
+inline void overwrite(std::vector<i64>& dst, std::span<const i64> src) {
+  i64* d = dst.data();
+  for (std::size_t i = 0; i < src.size(); ++i) d[i] = src[i];
 }
 
 // point >_lex prev (strict).
@@ -73,6 +65,10 @@ Folder::Folder(std::size_t in_dim, std::size_t label_dim, FolderOptions opts)
     : in_dim_(in_dim), label_dim_(label_dim), opts_(opts), result_(in_dim) {
   // Template expressions for dimension d: e_i for every i, then (with the
   // octagon enabled) e_i - e_j and e_i + e_j for every i < j.
+  run_base_.resize(in_dim_);
+  run_last_.resize(in_dim_);
+  run_lbase_.resize(label_dim_);
+  run_llast_.resize(label_dim_);
   rows_.reserve(in_dim_ + (opts_.use_octagon ? in_dim_ * (in_dim_ - 1) : 0));
   for (std::size_t i = 0; i < in_dim_; ++i)
     rows_.push_back({static_cast<int>(i), -1, 0});
@@ -93,199 +89,305 @@ i128 Folder::eval_row(const TRow& t, std::span<const i64> pt) const {
   return v;
 }
 
-void Folder::rebuild_hull_int(Chunk& c) const {
-  // Scale each RREF row to integers (row × lcm of its denominators) so
-  // membership tests run fraction-free. The test only needs zero/nonzero
-  // of the reduced vector, so uniform row scaling is harmless. Any
-  // overflow while scaling abandons the fast path for this chunk.
-  //
-  // The rows are stored sorted by pivot column: in_hull's reduction
-  // rescales only the suffix v[pivot..], which keeps the accumulated
-  // per-component scale uniform across each elimination's suffix ONLY
-  // when pivots are visited in increasing order. Reducing with a
-  // smaller-pivot row after a larger-pivot one would combine
-  // differently-scaled components and corrupt the zero/nonzero verdict
-  // (extend_basis appends rows in discovery order, so decreasing pivots
-  // do occur).
-  c.hull_int.clear();
-  c.hull_piv.clear();
+// ---------------------------------------------------------------------------
+// AffineHull
+
+namespace {
+// Reduction scratch for AffineHull::reduce_int (one per thread: folders on
+// different threads share nothing else).
+thread_local std::vector<i128> hull_scratch;
+}  // namespace
+
+bool AffineHull::reduce_int(std::span<const i64> point, bool whole) const {
+  // Fraction-free reduction of [point 1]: eliminating pivot column p of a
+  // row R computes R[p]·v - v[p]·R. R is zero before p, so a membership
+  // test may rescale only the suffix v[p..]: rows are visited in
+  // increasing pivot order, every later elimination reads only that
+  // uniformly scaled suffix, and the zero/nonzero pattern of the result is
+  // that of the exact rational reduction. A residual that becomes a row
+  // needs the `whole` vector rescaled.
+  const std::size_t width = dim_ + 1;
+  std::vector<i128>& v = hull_scratch;
+  v.resize(width);
+  for (std::size_t i = 0; i < dim_; ++i) v[i] = point[i];
+  v[dim_] = 1;
   try {
-    const std::size_t width = in_dim_ + 1;
-    for (std::size_t r = 0; r < c.hull.rows(); ++r) {
-      i128 l = 1;
-      for (std::size_t k = 0; k < width; ++k)
-        l = lcm(l, c.hull.at(r, k).den());
-      std::vector<i128> row(width);
-      std::size_t piv = width;
-      for (std::size_t k = 0; k < width; ++k) {
-        const Rat& x = c.hull.at(r, k);
-        row[k] = mul_checked(x.num(), l / x.den());
-        if (piv == width && row[k] != 0) piv = k;
-      }
-      PP_CHECK(piv < width, "hull row with no pivot");
-      c.hull_int.push_back(std::move(row));
-      c.hull_piv.push_back(piv);
-    }
-    for (std::size_t a = 1; a < c.hull_int.size(); ++a) {
-      // Insertion sort by pivot: row counts are tiny (≤ in_dim_ + 1).
-      std::size_t b = a;
-      while (b > 0 && c.hull_piv[b - 1] > c.hull_piv[b]) {
-        std::swap(c.hull_piv[b - 1], c.hull_piv[b]);
-        std::swap(c.hull_int[b - 1], c.hull_int[b]);
-        --b;
-      }
+    for (std::size_t r = 0; r < piv_.size(); ++r) {
+      const std::size_t p = piv_[r];
+      const i128 f = v[p];
+      if (f == 0) continue;
+      const i128* row = int_rows_.data() + r * width;
+      const i128 s = row[p];
+      if (whole)
+        for (std::size_t k = 0; k < p; ++k)
+          if (v[k] != 0) v[k] = mul_checked(s, v[k]);
+      for (std::size_t k = p; k < width; ++k)
+        v[k] = sub_checked(mul_checked(s, v[k]), mul_checked(f, row[k]));
     }
   } catch (const Error&) {
-    c.hull_int.clear();
-    c.hull_piv.clear();
+    return false;
+  }
+  return true;
+}
+
+void AffineHull::reset(std::size_t dim) {
+  dim_ = dim;
+  rank_ = 0;
+  pts_.clear();
+  int_rows_.clear();
+  piv_.clear();
+  rational_ = false;
+}
+
+bool AffineHull::contains(std::span<const i64> point) {
+  if (full()) return true;
+  if (!rational_) {
+    if (reduce_int(point, /*whole=*/false)) {
+      for (const i128& x : hull_scratch)
+        if (x != 0) return false;
+      return true;
+    }
+    rational_ = true;  // the first overflow switches the tier for good
+  }
+  // Rational tier: the point is in the hull iff it keeps the rank of the
+  // [x 1] rows.
+  RatMatrix m(0, dim_ + 1);
+  auto push = [&m](std::span<const i64> x) {
+    RatVec row(x.begin(), x.end());
+    row.push_back(Rat(1));
+    m.push_row(row);
+  };
+  for (std::size_t r = 0; r < rank_; ++r) push(this->point(r));
+  push(point);
+  return m.rank() == rank_;
+}
+
+void AffineHull::extend(std::span<const i64> point) {
+  pts_.insert(pts_.end(), point.begin(), point.end());
+  ++rank_;
+  if (!rational_ && !reduce_int(point, /*whole=*/true)) rational_ = true;
+  if (rational_) return;  // the rational tier needs only the points
+  // The residual is zero at every existing pivot, so its first nonzero is
+  // a new pivot column; inserting it at its pivot rank keeps the rows an
+  // echelon form. Dividing out the gcd keeps entries small.
+  const std::vector<i128>& v = hull_scratch;
+  const std::size_t width = dim_ + 1;
+  std::size_t pivot = width;
+  i128 g = 0;
+  for (std::size_t k = 0; k < width; ++k) {
+    if (v[k] == 0) continue;
+    if (pivot == width) pivot = k;
+    g = gcd(g, v[k]);
+  }
+  PP_CHECK(pivot < width, "extend_basis: point already in hull");
+  const auto pos = std::upper_bound(piv_.begin(), piv_.end(), pivot) -
+                   piv_.begin();
+  piv_.insert(piv_.begin() + pos, pivot);
+  const auto at = int_rows_.insert(int_rows_.begin() + pos * static_cast<std::ptrdiff_t>(width),
+                               v.begin(), v.end());
+  for (auto it = at; it != at + static_cast<std::ptrdiff_t>(width); ++it)
+    *it /= g;
+}
+
+// ---------------------------------------------------------------------------
+// Label fits
+
+bool fit_labels_int(const AffineHull& basis, std::span<const i64> labels,
+                    std::size_t label_dim, std::vector<Rat>& fit) {
+  // Solve [P 1] coeffs = a for every label dimension at once: Gauss–Jordan
+  // on [P 1 | labels] with leftmost pivots, each combined row divided by
+  // its gcd. Coefficient p_i is then labels_i / pivot_i of pivot row i —
+  // RatMatrix::solve's answer, since the pivot columns of a reduced row
+  // echelon form are unique.
+  thread_local std::vector<i128> m;
+  thread_local std::vector<std::size_t> piv;
+  const std::size_t k = basis.rank();
+  const std::size_t dim = basis.dim();
+  const std::size_t width = dim + 1;
+  const std::size_t w = width + label_dim;
+  fit.assign(label_dim * width, Rat(0));
+  if (k == 1) {
+    // One row: its pivot is the first nonzero of [point 1].
+    const std::span<const i64> pt = basis.point(0);
+    std::size_t p = 0;
+    while (p < dim && pt[p] == 0) ++p;
+    const i128 pivot = p < dim ? pt[p] : 1;
+    for (std::size_t j = 0; j < label_dim; ++j)
+      fit[j * width + p] = Rat(labels[j], pivot);
+    return true;
+  }
+  m.resize(k * w);
+  for (std::size_t r = 0; r < k; ++r) {
+    i128* row = m.data() + r * w;
+    const std::span<const i64> pt = basis.point(r);
+    for (std::size_t i = 0; i < dim; ++i) row[i] = pt[i];
+    row[dim] = 1;
+    for (std::size_t j = 0; j < label_dim; ++j)
+      row[width + j] = labels[r * label_dim + j];
+  }
+  piv.clear();
+  std::size_t pr = 0;
+  try {
+    for (std::size_t pc = 0; pc < width && pr < k; ++pc) {
+      std::size_t sel = pr;
+      while (sel < k && m[sel * w + pc] == 0) ++sel;
+      if (sel == k) continue;
+      i128* prow = m.data() + pr * w;
+      if (sel != pr) std::swap_ranges(prow, prow + w, m.data() + sel * w);
+      for (std::size_t r = 0; r < k; ++r) {
+        i128* row = m.data() + r * w;
+        if (r == pr || row[pc] == 0) continue;
+        // A unit pivot eliminates without scaling the row (the common
+        // case: the constant column and small coordinates).
+        const bool unit = prow[pc] == 1 || prow[pc] == -1;
+        const i128 g = unit ? 1 : gcd(prow[pc], row[pc]);
+        const i128 a = unit ? 1 : prow[pc] / g;
+        const i128 b = unit ? row[pc] * prow[pc] : row[pc] / g;
+        for (std::size_t col = 0; col < w; ++col)
+          row[col] = sub_checked(mul_checked(a, row[col]),
+                                 mul_checked(b, prow[col]));
+        if (unit) continue;
+        i128 rg = 0;
+        for (std::size_t col = 0; col < w && rg != 1; ++col)
+          rg = gcd(rg, row[col]);
+        if (rg > 1)
+          for (std::size_t col = 0; col < w; ++col) row[col] /= rg;
+      }
+      piv.push_back(pc);
+      ++pr;
+    }
+  } catch (const Error&) {
+    return false;
+  }
+  // Rows past the rank have a zero [P 1] part; a nonzero label there is an
+  // inconsistent system, which RatMatrix::solve reports too.
+  for (std::size_t r = pr; r < k; ++r)
+    for (std::size_t j = 0; j < label_dim; ++j)
+      PP_CHECK(m[r * w + width + j] == 0,
+               "refit on affinely independent basis failed");
+  for (std::size_t j = 0; j < label_dim; ++j)
+    for (std::size_t i = 0; i < piv.size(); ++i) {
+      const i128* row = m.data() + i * w;
+      fit[j * width + piv[i]] = Rat(row[width + j], row[piv[i]]);
+    }
+  return true;
+}
+
+void fit_labels_rat(const AffineHull& basis, std::span<const i64> labels,
+                    std::size_t label_dim, std::vector<Rat>& fit) {
+  // Solve [P 1] coeffs = a per label dimension over the basis rows. The
+  // rows are affinely independent by construction, so the system is always
+  // consistent (possibly underdetermined: free coefficients go to 0).
+  const std::size_t k = basis.rank();
+  const std::size_t dim = basis.dim();
+  const std::size_t width = dim + 1;
+  RatMatrix sys(k, width);
+  for (std::size_t r = 0; r < k; ++r) {
+    const std::span<const i64> pt = basis.point(r);
+    for (std::size_t i = 0; i < dim; ++i) sys.at(r, i) = Rat(pt[i]);
+    sys.at(r, dim) = Rat(1);
+  }
+  fit.assign(label_dim * width, Rat(0));
+  for (std::size_t j = 0; j < label_dim; ++j) {
+    RatVec rhs(k);
+    for (std::size_t r = 0; r < k; ++r) rhs[r] = Rat(labels[r * label_dim + j]);
+    auto sol = sys.solve(rhs);
+    PP_CHECK(sol.has_value(), "refit on affinely independent basis failed");
+    std::copy(sol->begin(), sol->end(), fit.begin() + static_cast<std::ptrdiff_t>(j * width));
   }
 }
 
-bool Folder::in_hull(const Chunk& c, std::span<const i64> point) const {
-  // Full-rank basis: the affine hull is the whole space (the common case
-  // once a loop nest has warmed up).
-  if (c.hull.rows() == in_dim_ + 1) return true;
-  const std::size_t width = in_dim_ + 1;
-  if (c.hull_int.size() == c.hull.rows()) {
-    // Fraction-free fast path: reduce [point 1] against the scaled rows.
-    // Eliminating pivot column p of row R rescales v by R[p]; scale never
-    // affects the zero/nonzero verdict. Overflow (rare, needs huge
-    // coordinates) falls through to the exact rational path.
+// ---------------------------------------------------------------------------
+// Folder (continued)
+
+template <class T>
+bool Folder::fit_matches(const Chunk& c, std::span<const T> x,
+                         std::span<const T> lab, bool affine) const {
+  // Integer tier: N·x (+ N_c when affine) == D·lab per label dimension,
+  // the fit over its common denominator D. On overflow the check is
+  // redone in Rat, which is exact or throws.
+  if (!c.fit_int.empty()) {
     try {
-      hullv_.resize(width);
-      for (std::size_t i = 0; i < in_dim_; ++i) hullv_[i] = point[i];
-      hullv_[in_dim_] = 1;
-      for (std::size_t r = 0; r < c.hull_int.size(); ++r) {
-        const std::size_t p = c.hull_piv[r];
-        const i128 f = hullv_[p];
-        if (f == 0) continue;
-        const std::vector<i128>& row = c.hull_int[r];
-        const i128 s = row[p];
-        for (std::size_t k = p; k < width; ++k)
-          hullv_[k] = sub_checked(mul_checked(s, hullv_[k]),
-                                  mul_checked(f, row[k]));
+      const i128* f = c.fit_int.data();
+      for (std::size_t j = 0; j < label_dim_; ++j, f += in_dim_ + 2) {
+        i128 acc = affine ? f[in_dim_] : 0;
+        for (std::size_t i = 0; i < in_dim_; ++i)
+          if (f[i] != 0) acc = add_checked(acc, mul_checked(f[i], x[i]));
+        if (acc != mul_checked(f[in_dim_ + 1], lab[j])) return false;
       }
-      for (const i128& x : hullv_)
-        if (x != 0) return false;
       return true;
     } catch (const Error&) {
-      // fall through to the rational path
+      // fall through to the rational tier
     }
   }
-  RatVec v(width);
-  for (std::size_t i = 0; i < in_dim_; ++i) v[i] = Rat(point[i]);
-  v[in_dim_] = Rat(1);
-  hull_reduce(c.hull, v);
-  for (const auto& x : v)
-    if (!x.is_zero()) return false;
+  const Rat* f = c.fit.data();
+  for (std::size_t j = 0; j < label_dim_; ++j, f += in_dim_ + 1) {
+    Rat acc = affine ? f[in_dim_] : Rat(0);
+    for (std::size_t i = 0; i < in_dim_; ++i)
+      if (!f[i].is_zero()) acc += f[i] * Rat(x[i]);
+    if (acc != Rat(lab[j])) return false;
+  }
   return true;
 }
 
 bool Folder::predicts(const Chunk& c, std::span<const i64> point,
                       std::span<const i64> label) const {
-  if (!c.fit_int.empty()) {
-    // Integer fast path: pure 128-bit arithmetic, no gcd normalization.
-    for (std::size_t j = 0; j < label_dim_; ++j) {
-      i128 acc = c.fit_int[j][in_dim_];
-      for (std::size_t i = 0; i < in_dim_; ++i)
-        if (c.fit_int[j][i] != 0)
-          acc = add_checked(acc, mul_checked(c.fit_int[j][i], point[i]));
-      if (acc != label[j]) return false;
-    }
-    return true;
-  }
-  for (std::size_t j = 0; j < label_dim_; ++j) {
-    Rat acc = c.fit[j][in_dim_];
-    for (std::size_t i = 0; i < in_dim_; ++i)
-      if (!c.fit[j][i].is_zero()) acc += c.fit[j][i] * Rat(point[i]);
-    if (acc != Rat(label[j])) return false;
-  }
-  return true;
+  return fit_matches(c, point, label, /*affine=*/true);
 }
 
 void Folder::extend_basis(Chunk& c, std::span<const i64> point,
                           std::span<const i64> label) {
-  c.basis_pts.emplace_back(point.begin(), point.end());
-  c.basis_labels.emplace_back(label.begin(), label.end());
-  RatVec v(in_dim_ + 1);
-  for (std::size_t i = 0; i < in_dim_; ++i) v[i] = Rat(point[i]);
-  v[in_dim_] = Rat(1);
-  hull_reduce(c.hull, v);
-  std::size_t pivot = in_dim_ + 1;
-  for (std::size_t col = 0; col <= in_dim_; ++col) {
-    if (!v[col].is_zero()) {
-      pivot = col;
-      break;
-    }
-  }
-  PP_CHECK(pivot <= in_dim_, "extend_basis: point already in hull");
-  Rat inv = Rat(1) / v[pivot];
-  for (std::size_t k = pivot; k <= in_dim_; ++k) v[k] *= inv;
-  // Back-eliminate to keep RREF.
-  for (std::size_t r = 0; r < c.hull.rows(); ++r) {
-    Rat f = c.hull.at(r, pivot);
-    if (f.is_zero()) continue;
-    for (std::size_t k = pivot; k <= in_dim_; ++k)
-      c.hull.at(r, k) -= f * v[k];
-  }
-  c.hull.push_row(v);
-  rebuild_hull_int(c);
+  ++stats_.hull_extends;
+  c.hull.extend(point);
+  c.basis_labels.insert(c.basis_labels.end(), label.begin(), label.end());
 }
 
 void Folder::refit(Chunk& c) {
-  // Solve [P 1] coeffs = a per label dimension over the basis rows. The
-  // rows are affinely independent by construction, so the system is always
-  // consistent (possibly underdetermined: free coefficients go to 0).
-  RatMatrix sys(c.basis_pts.size(), in_dim_ + 1);
-  for (std::size_t r = 0; r < c.basis_pts.size(); ++r) {
-    for (std::size_t i = 0; i < in_dim_; ++i)
-      sys.at(r, i) = Rat(c.basis_pts[r][i]);
-    sys.at(r, in_dim_) = Rat(1);
+  ++stats_.refits;
+  if (!fit_labels_int(c.hull, c.basis_labels, label_dim_, c.fit)) {
+    ++stats_.int_fallbacks;
+    fit_labels_rat(c.hull, c.basis_labels, label_dim_, c.fit);
   }
-  c.fit.assign(label_dim_, RatVec(in_dim_ + 1, Rat(0)));
-  for (std::size_t j = 0; j < label_dim_; ++j) {
-    RatVec rhs(c.basis_pts.size());
-    for (std::size_t r = 0; r < c.basis_pts.size(); ++r)
-      rhs[r] = Rat(c.basis_labels[r][j]);
-    auto sol = sys.solve(rhs);
-    PP_CHECK(sol.has_value(), "refit on affinely independent basis failed");
-    c.fit[j] = *sol;
-  }
-  // Precompute the integer fast path when every coefficient is integral.
-  c.fit_int.clear();
-  bool integral = true;
-  for (const auto& row : c.fit) {
-    for (const auto& coeff : row) {
-      if (!coeff.is_integer()) {
-        integral = false;
-        break;
-      }
-    }
-    if (!integral) break;
-  }
-  if (integral) {
-    c.fit_int.resize(label_dim_);
+  // Integer image of the fit: per label dimension, the numerators over the
+  // common denominator D, then D. Empty when D overflows.
+  const std::size_t stride = in_dim_ + 2;
+  c.fit_int.resize(label_dim_ * stride);
+  try {
     for (std::size_t j = 0; j < label_dim_; ++j) {
-      c.fit_int[j].resize(in_dim_ + 1);
+      const Rat* fj = c.fit.data() + j * (in_dim_ + 1);
+      i128* out = c.fit_int.data() + j * stride;
+      i128 den = 1;
       for (std::size_t i = 0; i <= in_dim_; ++i)
-        c.fit_int[j][i] = c.fit[j][i].num();
+        if (fj[i].den() != 1) den = lcm(den, fj[i].den());
+      for (std::size_t i = 0; i <= in_dim_; ++i)
+        out[i] = den == 1 ? fj[i].num() : mul_checked(fj[i].num(), den / fj[i].den());
+      out[in_dim_ + 1] = den;
     }
+  } catch (const Error&) {
+    c.fit_int.clear();
   }
 }
 
 Folder::Chunk Folder::make_chunk(std::span<const i64> point,
                                  std::span<const i64> label, u64 at_seq) {
+  // Reuse a closed chunk's storage when one is spare: streams that do not
+  // fold affinely open a chunk every few points.
   Chunk c;
+  if (!spare_.empty()) {
+    c = std::move(spare_.back());
+    spare_.pop_back();
+  }
   c.id = ++next_chunk_id_;
   c.points = 1;
   c.last_use = at_seq;
   c.created = at_seq;
+  c.hull.reset(in_dim_);
+  c.basis_labels.clear();
   c.bnd.resize(rows_.size());
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     i128 v = eval_row(rows_[r], point);
     c.bnd[r] = {v, v};
   }
-  c.hull = RatMatrix(0, in_dim_ + 1);
   extend_basis(c, point, label);
   refit(c);
   return c;
@@ -294,7 +396,7 @@ Folder::Chunk Folder::make_chunk(std::span<const i64> point,
 void Folder::absorb(Chunk& c, std::span<const i64> point,
                     std::span<const i64> label, bool refit_needed,
                     u64 at_seq) {
-  if (!in_hull(c, point)) {
+  if (!c.hull.contains(point)) {
     extend_basis(c, point, label);
     // When the current fit already predicted the point, it remains a valid
     // solution of the extended system — no refit needed, and keeping it
@@ -312,14 +414,17 @@ void Folder::absorb(Chunk& c, std::span<const i64> point,
 
 std::size_t Folder::route_point(std::span<const i64> point,
                                 std::span<const i64> label, u64 at_seq) {
+  // Most recent first. last_use values are distinct (each point routes to
+  // one chunk), so the recency order is a strict total order; insertion
+  // sort suits the few open chunks.
   route_order_.resize(open_.size());
-  for (std::size_t i = 0; i < open_.size(); ++i) route_order_[i] = i;
-  // last_use values are distinct (each point routes to one chunk), so the
-  // recency order is a strict total order.
-  std::sort(route_order_.begin(), route_order_.end(),
-            [this](std::size_t a, std::size_t b) {
-              return open_[a].last_use > open_[b].last_use;
-            });
+  for (std::size_t i = 0; i < open_.size(); ++i) {
+    std::size_t k = i;
+    for (; k > 0 && open_[route_order_[k - 1]].last_use < open_[i].last_use;
+         --k)
+      route_order_[k] = route_order_[k - 1];
+    route_order_[k] = i;
+  }
   // 1. Route to an open piece whose affine function predicts the label.
   //    Scanning most-recent-first lets the first match win.
   for (std::size_t idx : route_order_) {
@@ -333,7 +438,7 @@ std::size_t Folder::route_point(std::span<const i64> point,
   //    earlier verifications stand).
   if (!open_.empty()) {
     std::size_t mru = route_order_[0];
-    if (!in_hull(open_[mru], point)) {
+    if (!open_[mru].hull.contains(point)) {
       absorb(open_[mru], point, label, /*refit_needed=*/true, at_seq);
       return mru;
     }
@@ -342,6 +447,7 @@ std::size_t Folder::route_point(std::span<const i64> point,
   if (open_.size() >= opts_.max_open_chunks) {
     std::size_t lru = route_order_.back();
     close_chunk(open_[lru]);
+    spare_.push_back(std::move(open_[lru]));
     open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(lru));
   }
   open_.push_back(make_chunk(point, label, at_seq));
@@ -349,10 +455,10 @@ std::size_t Folder::route_point(std::span<const i64> point,
 }
 
 void Folder::start_run(std::span<const i64> point, std::span<const i64> label) {
-  run_base_.assign(point.begin(), point.end());
-  run_lbase_.assign(label.begin(), label.end());
-  run_last_ = run_base_;
-  run_llast_ = run_lbase_;
+  overwrite(run_base_, point);
+  overwrite(run_lbase_, label);
+  overwrite(run_last_, point);
+  overwrite(run_llast_, label);
   run_len_ = 1;
   run_start_seq_ = seq_;
   run_stride_viol_ = false;
@@ -360,38 +466,17 @@ void Folder::start_run(std::span<const i64> point, std::span<const i64> label) {
 
 void Folder::set_run_last(std::span<const i64> point,
                           std::span<const i64> label) {
-  run_last_.assign(point.begin(), point.end());
-  run_llast_.assign(label.begin(), label.end());
-}
-
-bool Folder::fit_maps_stride(const Chunk& c) const {
-  return fit_maps(c, pstride_, lstride_);
+  overwrite(run_last_, point);
+  overwrite(run_llast_, label);
 }
 
 bool Folder::fit_maps(const Chunk& c, std::span<const i128> ps,
                       std::span<const i128> ls) const {
-  if (label_dim_ == 0) return true;
   // Overflow in the stride image falls back to scalar routing (which is
   // always sound) instead of faulting a stream the point-at-a-time path
   // would have survived.
   try {
-    if (!c.fit_int.empty()) {
-      for (std::size_t j = 0; j < label_dim_; ++j) {
-        i128 acc = 0;
-        for (std::size_t i = 0; i < in_dim_; ++i)
-          if (c.fit_int[j][i] != 0)
-            acc = add_checked(acc, mul_checked(c.fit_int[j][i], ps[i]));
-        if (acc != ls[j]) return false;
-      }
-      return true;
-    }
-    for (std::size_t j = 0; j < label_dim_; ++j) {
-      Rat acc(0);
-      for (std::size_t i = 0; i < in_dim_; ++i)
-        if (!c.fit[j][i].is_zero()) acc += c.fit[j][i] * Rat(ps[i]);
-      if (acc != Rat(ls[j])) return false;
-    }
-    return true;
+    return fit_matches(c, ps, ls, /*affine=*/false);
   } catch (const Error&) {
     return false;
   }
@@ -441,7 +526,7 @@ bool Folder::chain_defer(u64 n) {
         chain_lo2_[j] = static_cast<i128>(run_lbase_[j]) - chain_lbase0_[j];
       if (!fit_maps(*c, chain_o2_, chain_lo2_)) return false;
       if (!predicts(*c, run_base_, run_lbase_)) return false;
-      if (!in_hull(*c, run_base_)) return false;
+      if (!c->hull.contains(run_base_)) return false;
       chain_R_ = chain_B_;
       chain_M_ = 2;
       chain_B_ = 1;
@@ -504,8 +589,8 @@ bool Folder::chain_defer(u64 n) {
       !fit_maps(*c, chain_o1_, chain_lo1_))
     return false;
   if (!predicts(*c, run_base_, run_lbase_)) return false;
-  if (!in_hull(*c, run_base_) || !in_hull(*c, run_last_) ||
-      !in_hull(*c, chain_tmp_))
+  if (!c->hull.contains(run_base_) || !c->hull.contains(run_last_) ||
+      !c->hull.contains(chain_tmp_))
     return false;
   chain_state_ = ChainState::kArmed;
   chain_base0_.assign(run_base_.begin(), run_base_.end());
@@ -530,35 +615,41 @@ void Folder::chain_finalize() {
   chain_state_ = ChainState::kNone;
   Chunk* c = chunk_by_id(chain_chunk_id_);
   PP_CHECK(c != nullptr, "folder: chained chunk vanished");
-  // Template rows are linear, so their extrema over the deferred block —
-  // a full (M-1)×R×n lattice box plus the current (possibly partial)
-  // group's B×n slice — sit at the corners of those two boxes. Every
-  // corner is a genuinely observed point, so the i64 narrowing is exact.
-  chain_tmp_.resize(in_dim_);
-  auto fold_corner = [&](u64 g, u64 e, u64 t) {
-    for (std::size_t i = 0; i < in_dim_; ++i) {
-      i128 v = static_cast<i128>(chain_base0_[i]) +
-               static_cast<i128>(t) * chain_s_[i] +
-               static_cast<i128>(e) * chain_o1_[i];
-      if (g > 0) v += static_cast<i128>(g) * chain_o2_[i];
-      chain_tmp_[i] = static_cast<i64>(v);
-    }
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      const i128 v = eval_row(rows_[r], chain_tmp_);
-      c->bnd[r].min = std::min(c->bnd[r].min, v);
-      c->bnd[r].max = std::max(c->bnd[r].max, v);
-    }
+  // Template rows are linear, so over the deferred block — a full
+  // (M-1)×R×T lattice box of complete groups plus the current (possibly
+  // partial) group's B×T slice — each row's extrema are closed forms:
+  // r(base) plus, per lattice axis, min/max(0, (extent-1)·r(stride)).
+  // Every box corner is an observed point, so nothing here nears the
+  // i128 limits.
+  auto along = [](const TRow& t, const std::vector<i128>& v) {
+    i128 x = v[static_cast<std::size_t>(t.i)];
+    if (t.j >= 0) x += t.cj * v[static_cast<std::size_t>(t.j)];
+    return x;
   };
-  const u64 t_hi = chain_T_ - 1;
-  if (chain_M_ >= 2) {
-    // Complete groups 0 .. M-2 (each R runs).
-    for (u64 g : {u64{0}, chain_M_ - 2})
-      for (u64 e : {u64{0}, chain_R_ - 1})
-        for (u64 t : {u64{0}, t_hi}) fold_corner(g, e, t);
+  const i128 t_span = static_cast<i128>(chain_T_ - 1);
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    const TRow& t = rows_[r];
+    const i128 base = eval_row(t, chain_base0_);
+    const i128 ds = t_span * along(t, chain_s_);
+    const i128 o1 = along(t, chain_o1_);
+    const i128 o2 = chain_M_ >= 2 ? along(t, chain_o2_) : 0;
+    // Current group, ordinal M (offset (M-1)·o2), runs e < B.
+    const i128 cur = base + static_cast<i128>(chain_M_ - 1) * o2;
+    const i128 de = static_cast<i128>(chain_B_ - 1) * o1;
+    i128 lo = cur + std::min<i128>(0, ds) + std::min<i128>(0, de);
+    i128 hi = cur + std::max<i128>(0, ds) + std::max<i128>(0, de);
+    if (chain_M_ >= 2) {
+      // Complete groups g ≤ M-2, runs e < R.
+      const i128 dr = static_cast<i128>(chain_R_ - 1) * o1;
+      const i128 dg = static_cast<i128>(chain_M_ - 2) * o2;
+      lo = std::min(lo, base + std::min<i128>(0, ds) + std::min<i128>(0, dr) +
+                            std::min<i128>(0, dg));
+      hi = std::max(hi, base + std::max<i128>(0, ds) + std::max<i128>(0, dr) +
+                            std::max<i128>(0, dg));
+    }
+    c->bnd[r].min = std::min(c->bnd[r].min, lo);
+    c->bnd[r].max = std::max(c->bnd[r].max, hi);
   }
-  // Current group (ordinal M, B runs, possibly partial).
-  for (u64 e : {u64{0}, chain_B_ - 1})
-    for (u64 t : {u64{0}, t_hi}) fold_corner(chain_M_ - 1, e, t);
   c->points += chain_points_;
   c->last_use = chain_end_seq_;
 }
@@ -588,7 +679,7 @@ void Folder::bulk_absorb(Chunk& c, std::span<const i64> first,
   // under affine combination, so only `first` can extend the basis; the
   // template rows are linear, so their min/max over the run sit at the
   // endpoints.
-  if (!in_hull(c, first)) extend_basis(c, first, first_label);
+  if (!c.hull.contains(first)) extend_basis(c, first, first_label);
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     i128 v1 = eval_row(rows_[r], first);
     i128 v2 = eval_row(rows_[r], run_last_);
@@ -604,6 +695,7 @@ void Folder::flush_run() {
   const u64 n = run_len_;
   run_len_ = 0;
   if (chain_defer(n)) {
+    ++stats_.chain_defers;
     run_stride_viol_ = false;
     return;
   }
@@ -626,7 +718,7 @@ void Folder::flush_run() {
       cur_pt_[i] = static_cast<i64>(cur_pt_[i] + pstride_[i]);
     for (std::size_t j = 0; j < label_dim_; ++j)
       cur_lab_[j] = static_cast<i64>(cur_lab_[j] + lstride_[j]);
-    if (fit_maps_stride(open_[ci])) {
+    if (fit_maps(open_[ci], pstride_, lstride_)) {
       bulk_absorb(open_[ci], cur_pt_, cur_lab_, n - 1 - k,
                   run_start_seq_ + n - 1);
       // The whole run landed in one chunk with no per-point routing —
@@ -649,12 +741,18 @@ void Folder::add(std::span<const i64> point, std::span<const i64> label) {
     // Reference point-at-a-time path (ablation knob): lexicographic check
     // in place against the previous point, then the routing steps.
     if (have_prev_ && !lex_greater(point, run_last_)) lex_ok_ = false;
-    run_last_.assign(point.begin(), point.end());
+    overwrite(run_last_, point);
     have_prev_ = true;
     route_point(point, label, seq_);
     return;
   }
 
+  if (collapsed_) {
+    close_all();
+    collapse_bounds(point);
+    ++collapse_observed_;
+    return;
+  }
   if (run_len_ == 0) {
     start_run(point, label);
     return;
@@ -734,17 +832,27 @@ void Folder::add_run(std::span<const i64> point, std::span<const i64> label,
     return true;
   };
   if (opts_.stride_runs && in_range(point, pstride) &&
-      in_range(label, lstride)) {
-    // O(d) fast paths: the whole call either extends the pending run or
-    // becomes the new pending run — state identical to the scalar loop
-    // (which would only bump counters and the run tail point by point),
-    // without touching any chunk.
+      (collapsed_ || in_range(label, lstride))) {
     arun_pt_.resize(in_dim_);
-    arun_lab_.resize(label_dim_);
     for (std::size_t i = 0; i < in_dim_; ++i)
       arun_pt_[i] = static_cast<i64>(
           static_cast<i128>(point[i]) +
           static_cast<i128>(pstride[i]) * static_cast<i128>(n - 1));
+    if (collapsed_) {
+      // Template rows are linear: the run's bounds sit at its endpoints.
+      close_all();
+      collapse_bounds(point);
+      collapse_bounds(arun_pt_);
+      collapse_observed_ += n;
+      total_points_ += n;
+      seq_ += n;
+      return;
+    }
+    // O(d) fast paths: the whole call either extends the pending run or
+    // becomes the new pending run — state identical to the scalar loop
+    // (which would only bump counters and the run tail point by point),
+    // without touching any chunk.
+    arun_lab_.resize(label_dim_);
     for (std::size_t j = 0; j < label_dim_; ++j)
       arun_lab_[j] = static_cast<i64>(
           static_cast<i128>(label[j]) +
@@ -808,8 +916,8 @@ void Folder::add_run(std::span<const i64> point, std::span<const i64> label,
     if (run_len_ == 0) {
       // Fresh stream (or right after finish()): the run becomes the
       // pending run wholesale; no lexicographic reference exists yet.
-      run_base_.assign(point.begin(), point.end());
-      run_lbase_.assign(label.begin(), label.end());
+      overwrite(run_base_, point);
+      overwrite(run_lbase_, label);
       install_strides();
       total_points_ += n;
       seq_ += n;
@@ -824,8 +932,8 @@ void Folder::add_run(std::span<const i64> point, std::span<const i64> label,
       // install this run as the new pending run.
       flush_run();
       if (!lex_greater(point, run_last_)) lex_ok_ = false;
-      run_base_.assign(point.begin(), point.end());
-      run_lbase_.assign(label.begin(), label.end());
+      overwrite(run_base_, point);
+      overwrite(run_lbase_, label);
       install_strides();
       total_points_ += n;
       seq_ += n;
@@ -851,6 +959,14 @@ void Folder::add_run(std::span<const i64> point, std::span<const i64> label,
         arun_lab_[j] = wrap_add(arun_lab_[j], lstride[j]);
     }
     add(arun_pt_, arun_lab_);
+  }
+}
+
+void Folder::collapse_bounds(std::span<const i64> point) {
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    const i128 v = eval_row(rows_[r], point);
+    collapse_bnd_[r].min = std::min(collapse_bnd_[r].min, v);
+    collapse_bnd_[r].max = std::max(collapse_bnd_[r].max, v);
   }
 }
 
@@ -1035,18 +1151,19 @@ poly::Piece Folder::build_piece(const Chunk& chunk) const {
   for (std::size_t j = 0; j < label_dim_ && label_ok; ++j) {
     std::vector<i64> coeffs(in_dim_);
     for (std::size_t i = 0; i < in_dim_; ++i) {
-      if (!representable(chunk.fit[j][i])) {
+      if (!representable(chunk.fit[j * (in_dim_ + 1) + i])) {
         label_ok = false;
         break;
       }
-      coeffs[i] = narrow_i64(chunk.fit[j][i].num());
+      coeffs[i] = narrow_i64(chunk.fit[j * (in_dim_ + 1) + i].num());
     }
-    if (!label_ok || !representable(chunk.fit[j][in_dim_])) {
+    const Rat& constant = chunk.fit[j * (in_dim_ + 1) + in_dim_];
+    if (!label_ok || !representable(constant)) {
       label_ok = false;
       break;
     }
     outs.emplace_back(std::move(coeffs),
-                      narrow_i64(chunk.fit[j][in_dim_].num()));
+                      narrow_i64(constant.num()));
   }
   if (!label_ok) outs.assign(label_dim_, poly::AffineExpr(in_dim_));
 
@@ -1079,16 +1196,15 @@ FoldCache::Key Folder::cache_key(const Chunk& c) const {
     push128(b.min);
     push128(b.max);
   }
-  for (const auto& row : c.fit) {
-    for (const Rat& r : row) {
-      push128(r.num());
-      push128(r.den());
-    }
+  for (const Rat& r : c.fit) {
+    push128(r.num());
+    push128(r.den());
   }
   return key;
 }
 
 void Folder::close_chunk(Chunk& chunk) {
+  if (chunk.hull.rational()) ++stats_.int_fallbacks;
   // Running collapse bounds: every close merges its template bounds in
   // O(d²), so the collapsed over-approximation in finish() never needs
   // the accumulated pieces themselves.
@@ -1122,14 +1238,27 @@ void Folder::close_chunk(Chunk& chunk) {
   result_.add_piece(build_piece(chunk));
 }
 
-poly::PolySet Folder::finish() {
+void Folder::close_all() {
+  if (run_len_ == 0 && open_.empty()) {  // nothing pending: no chain either
+    chain_state_ = ChainState::kNone;
+    return;
+  }
   flush_run();
   chain_finalize();  // flush_run may have deferred the final run
   // Close remaining chunks in creation order for stable output.
   std::sort(open_.begin(), open_.end(),
             [](const Chunk& a, const Chunk& b) { return a.created < b.created; });
-  for (auto& c : open_) close_chunk(c);
+  for (auto& c : open_) {
+    close_chunk(c);
+    // A collapsed stream opens no more chunks: free their storage.
+    if (!collapsed_) spare_.push_back(std::move(c));
+  }
   open_.clear();
+}
+
+poly::PolySet Folder::finish() {
+  close_all();
+  spare_.clear();
   poly::PolySet out = std::move(result_);
   result_ = poly::PolySet(in_dim_);
   lex_ok_ = true;

@@ -11,8 +11,9 @@
 //    points give the tightest template polyhedron containing them.
 //    Rectangular, triangular and ±1-skewed loop nests fold exactly;
 //    anything else becomes a certified over-approximation.
-//  * Labels are fitted by exact rational interpolation over an affinely
-//    independent basis of seen points. Every point is verified against a
+//  * Labels are fitted by exact interpolation over an affinely
+//    independent basis of seen points (fraction-free in checked i128,
+//    rational only after an overflow). Every point is verified against a
 //    fit; points that extend the affine hull extend the basis (a fit
 //    restricted to the old hull never changes, so earlier verifications
 //    remain valid).
@@ -75,9 +76,9 @@ struct FolderOptions {
 /// function of its canonical form — template bounds in fixed row order,
 /// the rational label fit, the observed count and the exactness inputs —
 /// so identical pieces across statements and dependence groups are built
-/// once and shared. Thread-safe (the parallel re-fold path hits it from
-/// worker tasks); hit/miss totals are timing-class observability only,
-/// since the hit pattern depends on scheduling while the values do not.
+/// once and shared. Thread-safe, so folders on several threads may share
+/// one cache; hit/miss totals are timing-class observability only, since
+/// a shared cache's hit pattern depends on what ran before.
 class FoldCache {
  public:
   using Key = std::vector<u64>;
@@ -102,6 +103,65 @@ class FoldCache {
   std::unordered_map<Key, std::shared_ptr<const poly::Piece>, KeyHash> map_;
   mutable std::atomic<u64> hits_{0};
   mutable std::atomic<u64> misses_{0};
+};
+
+/// Affine hull of a point set, kept as an echelon form of its [x 1] rows.
+/// Membership tests and extensions run fraction-free in checked i128; from
+/// the first overflow on, membership is an exact rational rank test over
+/// the spanning points. Both tiers give identical verdicts.
+class AffineHull {
+ public:
+  explicit AffineHull(std::size_t dim = 0) : dim_(dim) {}
+
+  std::size_t dim() const { return dim_; }
+  /// Number of affinely independent points spanning the hull.
+  std::size_t rank() const { return rank_; }
+  /// The r-th spanning point, in insertion order.
+  std::span<const i64> point(std::size_t r) const {
+    return {pts_.data() + r * dim_, dim_};
+  }
+  /// The hull is the whole space.
+  bool full() const { return rank_ == dim_ + 1; }
+  bool contains(std::span<const i64> point);
+  /// Add a point off the hull.
+  void extend(std::span<const i64> point);
+  /// An i128 operation overflowed and the rational tier took over.
+  bool rational() const { return rational_; }
+  /// Empty the hull and set its dimension, keeping allocated storage.
+  void reset(std::size_t dim);
+
+ private:
+  /// Reduce [point 1] against the integer rows into the scratch vector;
+  /// false on i128 overflow. Only the zero pattern is exact unless `whole`.
+  bool reduce_int(std::span<const i64> point, bool whole) const;
+
+  std::size_t dim_;
+  std::size_t rank_ = 0;
+  std::vector<i64> pts_;  ///< spanning points, row-major
+  /// Integer tier: primitive rows (gcd 1) of dim + 1 columns, stored flat,
+  /// sorted by pivot column (their first nonzero).
+  std::vector<i128> int_rows_;
+  std::vector<std::size_t> piv_;
+  bool rational_ = false;
+};
+
+/// Exact affine fit through the labels of a hull's spanning points
+/// (`labels` row-major, `label_dim` per point): `fit` gets, per label
+/// dimension, dim coefficients then the constant, with free coefficients 0
+/// (RatMatrix::solve's answer). fit_labels_int runs one fraction-free
+/// Gauss–Jordan pass in checked i128 and returns false on overflow;
+/// fit_labels_rat is the rational reference.
+bool fit_labels_int(const AffineHull& basis, std::span<const i64> labels,
+                    std::size_t label_dim, std::vector<Rat>& fit);
+void fit_labels_rat(const AffineHull& basis, std::span<const i64> labels,
+                    std::size_t label_dim, std::vector<Rat>& fit);
+
+/// Work counters of one folder (observability; never read by the fold).
+struct FolderStats {
+  u64 chain_defers = 0;   ///< runs absorbed into an armed chain
+  u64 refits = 0;         ///< label-fit solves
+  u64 hull_extends = 0;   ///< affine-hull basis extensions
+  u64 int_fallbacks = 0;  ///< refits and chunk hulls that overflowed i128
 };
 
 /// Folds one (iteration vector, label vector) stream.
@@ -131,6 +191,7 @@ class Folder {
   std::size_t in_dim() const { return in_dim_; }
   std::size_t label_dim() const { return label_dim_; }
   u64 points_seen() const { return total_points_; }
+  const FolderStats& stats() const { return stats_; }
 
  private:
   /// One template expression, x_i (j < 0) or x_i + cj·x_j (cj = ±1) —
@@ -153,22 +214,23 @@ class Folder {
     u64 last_use = 0;   ///< stream sequence number of the last routed point
     u64 created = 0;    ///< creation sequence (stable output ordering)
     std::vector<Bnd> bnd;  ///< per template row, in `rows_` order
-    std::vector<std::vector<i64>> basis_pts;
-    std::vector<std::vector<i64>> basis_labels;
-    RatMatrix hull;     ///< RREF rows of [I 1] over the basis
-    /// Integer image of `hull` (each row scaled by its denominators' lcm,
-    /// pivot column first): lets the hot in_hull membership test run
-    /// fraction-free on i128 instead of allocating rationals. Rebuilt on
-    /// every basis extension; empty = scaling overflowed, use `hull`.
-    std::vector<std::vector<i128>> hull_int;
-    std::vector<std::size_t> hull_piv;        ///< pivot column per int row
-    std::vector<RatVec> fit;                  ///< per label dim: coeffs+const
-    std::vector<std::vector<i128>> fit_int;   ///< integer fast path
+    AffineHull hull;    ///< affine hull of the basis points
+    std::vector<i64> basis_labels;  ///< label_dim per hull point, row-major
+    /// Label fit, row-major: per label dim, in_dim coefficients + constant.
+    std::vector<Rat> fit;
+    /// Integer image of `fit`: per label dim, in_dim + 1 numerators over
+    /// their common denominator, then that denominator; empty when the
+    /// denominator overflows i128.
+    std::vector<i128> fit_int;
   };
 
   Chunk make_chunk(std::span<const i64> point, std::span<const i64> label,
                    u64 at_seq);
-  bool in_hull(const Chunk& c, std::span<const i64> point) const;
+  /// The chunk's fit maps `x` to `lab`: with its constant term (`affine`,
+  /// a point and its label) or without (a stride and the label stride).
+  template <class T>
+  bool fit_matches(const Chunk& c, std::span<const T> x,
+                   std::span<const T> lab, bool affine) const;
   bool predicts(const Chunk& c, std::span<const i64> point,
                 std::span<const i64> label) const;
   void absorb(Chunk& c, std::span<const i64> point,
@@ -187,9 +249,8 @@ class Folder {
   /// Replay the pending run; switches to bulk absorption as soon as the
   /// receiving chunk's fit maps the stride.
   void flush_run();
-  /// Linear part of the chunk's fit applied to the pending stride equals
-  /// the label stride (then the fit predicts every remaining run point).
-  bool fit_maps_stride(const Chunk& c) const;
+  /// Linear part of the chunk's fit applied to a point stride equals the
+  /// label stride (then the fit predicts every point along it).
   bool fit_maps(const Chunk& c, std::span<const i128> ps,
                 std::span<const i128> ls) const;
   void bulk_absorb(Chunk& c, std::span<const i64> first,
@@ -216,9 +277,9 @@ class Folder {
   std::vector<TRow> rows_;  ///< memoized template rows (dim + octagon)
 
   std::vector<Chunk> open_;
+  std::vector<Chunk> spare_;  ///< closed chunks kept for their storage
   std::vector<std::size_t> route_order_;  ///< routing scratch (recency sort)
-  mutable std::vector<i128> hullv_;       ///< in_hull reduction scratch
-  void rebuild_hull_int(Chunk& c) const;
+  FolderStats stats_;
   u64 seq_ = 0;
   bool lex_ok_ = true;
 
@@ -247,8 +308,8 @@ class Folder {
   // stride o2 (the group size R is learned from the first group). Once a
   // chunk's fit maps every stride and the chain's generators lie in its
   // affine hull, every further matching run is absorbed with O(d)
-  // bookkeeping — the template bounds are applied once, at the chain's
-  // lattice corners (at most 12 points), when the chain breaks.
+  // bookkeeping — the template bounds are applied once, in closed form
+  // over the deferred lattice block, when the chain breaks.
   // chain_defer() states the exact conditions under which this is
   // equivalent to flushing each run through the generic path.
   enum class ChainState : std::uint8_t { kNone, kSeeded, kArmed };
@@ -267,14 +328,14 @@ class Folder {
   std::vector<i64> chain_group_base_, chain_group_lbase_;
   std::vector<i64> chain_last_base_, chain_last_lbase_;
   std::vector<i64> chain_seed_base_, chain_seed_lbase_;
-  std::vector<i64> chain_tmp_;  ///< hull-probe / corner scratch
+  std::vector<i64> chain_tmp_;  ///< hull-probe scratch
   u64 next_chunk_id_ = 0;
   Chunk* chunk_by_id(u64 id);
   /// Absorb the just-ended pending run into the active chain (or arm a
   /// seeded one); true = fully handled, skip the generic flush path.
   bool chain_defer(u64 n);
-  /// Apply the deferred chain effects (corner bounds, point count) to its
-  /// chunk and reset the chain. Must run before any routing or close.
+  /// Apply the deferred chain effects (template bounds, point count) to
+  /// its chunk and reset the chain. Must run before any routing or close.
   void chain_finalize();
   /// Remember a cleanly absorbed run as a chain candidate.
   void chain_seed(u64 n, u64 chunk_id, bool clean);
@@ -288,6 +349,12 @@ class Folder {
   // O(d²) instead of an LP sweep over all accumulated pieces.
   std::vector<Bnd> collapse_bnd_;
   u64 collapse_observed_ = 0;
+  // Past the cap the output is those bounds and the point count whatever
+  // the routing, so the run path stops routing: it closes everything open,
+  // and each later point only widens the bounds.
+  void collapse_bounds(std::span<const i64> point);
+  /// Flush the pending run and chain, then close every open chunk.
+  void close_all();
 };
 
 }  // namespace pp::fold

@@ -1,9 +1,9 @@
 // The parallel pipeline's central contract (DESIGN.md, "Concurrency
 // architecture"): `full_report` is BYTE-identical for every thread count.
-// threads=1 is the serial reference path (no ring, no buffered fold, no
-// fan-out), so diffing it against threaded runs covers every merge-order
-// decision at once — fold slots, diagnostics sequencing, scheduler group
-// order, oracle witness order, budget-degradation points.
+// threads=1 is the serial reference path (no ring, no fan-out), so
+// diffing it against threaded runs covers every merge-order decision at
+// once — diagnostics sequencing, scheduler group order, oracle witness
+// order, budget-degradation points.
 #include <string>
 #include <vector>
 

@@ -128,6 +128,33 @@ TEST(SelfProfile, StableSectionElidesTimesButTimedSectionHasThem) {
   EXPECT_NE(t.find("pool.tasks"), std::string::npos);
 }
 
+// The folder-work counters are stable: the fold is one streaming path, so
+// threads 1 and 4 count the same work.
+TEST(SelfProfile, FolderWorkCountersMatchAcrossThreadCounts) {
+  workloads::Workload wl = workloads::make_rodinia("cfd");
+  auto serial = observed_run(wl.module, 1).obs->counters();
+  auto threaded = observed_run(wl.module, 4).obs->counters();
+  for (const char* c : {"fold.points", "fold.chain_defers", "fold.refits",
+                        "fold.hull_extends", "fold.int_fallbacks"}) {
+    EXPECT_EQ(serial.at(c).stability, obs::Stability::kStable) << c;
+    EXPECT_EQ(serial.at(c).value, threaded.at(c).value) << c;
+  }
+  EXPECT_GT(serial.at("fold.points").value, 0);
+  EXPECT_GT(serial.at("fold.refits").value, 0);
+  EXPECT_GT(serial.at("fold.chain_defers").value, 0);
+}
+
+// The i128 refit/hull tier answers every fold of the suite: a silent
+// fallback to rationals would only show as lost speed.
+TEST(SelfProfile, FoldNeverFallsBackToRationalsOnTheSuite) {
+  for (const std::string& name : workloads::rodinia_names()) {
+    workloads::Workload wl = workloads::make_rodinia(name);
+    auto cs = observed_run(wl.module, 1).obs->counters();
+    EXPECT_EQ(cs.at("fold.int_fallbacks").value, 0) << name;
+    EXPECT_GT(cs.at("fold.hull_extends").value, 0) << name;
+  }
+}
+
 // Legality LP counters are stable, and each tier is exercised: every
 // piece hotspot3D's scheduler queries is a box (closed form, no simplex),
 // while particlefilter's 3-D octagon pieces still need the simplex.

@@ -183,6 +183,113 @@ TEST(StrideRuns, HullFastPathHandlesDecreasingPivotRows) {
   expect_equivalent(pts, labels, 2, 0);
 }
 
+// One arithmetic run: n points from `base`/`lbase` by `s`/`ls`.
+struct RunSpec {
+  std::vector<i64> base, lbase, s, ls;
+  u64 n = 0;
+};
+
+// Feeds `runs` to a stride-run folder through add_run and to the
+// point-at-a-time reference point by point; the outputs must match. Returns
+// the run folder's stats so callers can check which path ran.
+FolderStats expect_runs_equivalent(const std::vector<RunSpec>& runs,
+                                   std::size_t in_dim, std::size_t label_dim,
+                                   FolderOptions base = {}) {
+  FolderOptions on = base, off = base;
+  on.stride_runs = true;
+  off.stride_runs = false;
+  Folder f_on(in_dim, label_dim, on);
+  Folder f_off(in_dim, label_dim, off);
+  for (const RunSpec& r : runs) {
+    f_on.add_run(r.base, r.lbase, r.s, r.ls, r.n);
+    std::vector<i64> pt = r.base, lab = r.lbase;
+    for (u64 t = 0; t < r.n; ++t) {
+      f_off.add(pt, lab);
+      for (std::size_t i = 0; i < in_dim; ++i) pt[i] += r.s[i];
+      for (std::size_t j = 0; j < label_dim; ++j) lab[j] += r.ls[j];
+    }
+  }
+  EXPECT_EQ(describe(f_on.finish()), describe(f_off.finish()));
+  return f_on.stats();
+}
+
+// The inner-loop runs of a T×R×M nest — M groups of R runs of T points;
+// run e of group g starts at base + e·o1 + g·o2 — with labels 3x + 5y - z
+// + 7 over the first three coordinates. The last group holds `last_r`
+// runs (a partial group when < R).
+std::vector<RunSpec> nest_runs(u64 T, u64 R, u64 M, u64 last_r,
+                           std::vector<i64> o1, std::vector<i64> o2,
+                           std::vector<i64> s = {0, 0, 1}) {
+  auto label = [](const std::vector<i64>& p) {
+    return std::vector<i64>{3 * p[0] + 5 * p[1] - p[2] + 7};
+  };
+  std::vector<i64> ls = label(s);
+  ls[0] -= 7;
+  std::vector<RunSpec> runs;
+  for (u64 g = 0; g < M; ++g)
+    for (u64 e = 0; e < (g + 1 == M ? last_r : R); ++e) {
+      std::vector<i64> b(3);
+      for (std::size_t i = 0; i < 3; ++i)
+        b[i] = 100 + static_cast<i64>(e) * o1[i] + static_cast<i64>(g) * o2[i];
+      runs.push_back({b, label(b), s, ls, T});
+    }
+  return runs;
+}
+
+TEST(StrideRuns, ChainedNestMatchesPointAtATime) {
+  FolderStats st =
+      expect_runs_equivalent(nest_runs(8, 6, 5, 6, {0, 1, 0}, {1, 0, 0}), 3, 1);
+  EXPECT_GT(st.chain_defers, 0u);  // the chain path really ran
+}
+
+TEST(StrideRuns, ChainedNestWithPartialLastGroupMatches) {
+  expect_runs_equivalent(nest_runs(8, 6, 5, 3, {0, 1, 0}, {1, 0, 0}), 3, 1);
+}
+
+TEST(StrideRuns, ChainedNestWithNegativeStridesMatches) {
+  expect_runs_equivalent(nest_runs(7, 5, 4, 5, {0, -1, 0}, {1, 0, 0}), 3, 1);
+  expect_runs_equivalent(nest_runs(7, 5, 4, 2, {0, 1, 0}, {-1, 0, 0}), 3, 1);
+  expect_runs_equivalent(nest_runs(7, 5, 4, 5, {0, 1, -3}, {-1, 2, 0}), 3, 1);
+  expect_runs_equivalent(
+      nest_runs(7, 5, 4, 5, {0, -1, 0}, {-1, 0, 0}, {0, 0, -2}), 3, 1);
+}
+
+TEST(StrideRuns, ChainedNestWithZeroStridesMatches) {
+  // o1 = 0 repeats one run (duplicate points, lex forfeit); o2 = 0 repeats
+  // one group.
+  expect_runs_equivalent(nest_runs(6, 4, 3, 4, {0, 0, 0}, {1, 0, 0}), 3, 1);
+  expect_runs_equivalent(nest_runs(6, 4, 3, 4, {0, 1, 0}, {0, 0, 0}), 3, 1);
+}
+
+TEST(StrideRuns, SingleGroupAndSingleRunChainsMatch) {
+  // M = 1: the chain never learns a group size.
+  FolderStats st =
+      expect_runs_equivalent(nest_runs(9, 7, 1, 7, {0, 1, 0}, {1, 0, 0}), 3, 1);
+  EXPECT_GT(st.chain_defers, 0u);
+  // A chain of one run, broken by a run of another length.
+  std::vector<RunSpec> runs = nest_runs(9, 1, 1, 1, {0, 1, 0}, {1, 0, 0});
+  runs.push_back(nest_runs(4, 1, 1, 1, {0, 1, 0}, {1, 0, 0})[0]);
+  runs.back().base[1] = 300;
+  runs.back().lbase = {3 * 100 + 5 * 300 - 100 + 7};
+  expect_runs_equivalent(runs, 3, 1);
+  // Two groups whose second is a single run.
+  expect_runs_equivalent(nest_runs(5, 4, 2, 1, {0, 1, 0}, {1, 0, 0}), 3, 1);
+}
+
+TEST(StrideRuns, RunsAfterCollapseMatchPointAtATime) {
+  // Non-affine labels trip the piece cap; affine runs after it must still
+  // widen the collapsed bounds and count exactly like point-at-a-time.
+  FolderOptions opts;
+  opts.max_pieces = 3;
+  std::vector<RunSpec> runs;
+  for (i64 i = 0; i < 40; ++i)
+    runs.push_back({{i, 0}, {(i * 7919) % 1009}, {0, 1}, {0}, 1});
+  for (i64 i = 40; i < 60; ++i)
+    runs.push_back({{i, -5}, {2 * i}, {0, 3}, {1}, 9});
+  runs.push_back({{100, 50}, {0}, {-1, -2}, {4}, 20});
+  expect_runs_equivalent(runs, 2, 1, opts);
+}
+
 TEST(CollapseGuard, StopsAccumulatingPiecesPastCap) {
   FolderOptions opts;
   opts.max_pieces = 4;
