@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide check gate: format check, clang-tidy over src/verify/, and the
-# test suite in ALL build flavors (default, POLYPROF_SANITIZE, and — when
+# Repo-wide check gate: format check, clang-tidy over the static-analysis
+# and scheduling subsystems, and the test suite in ALL build flavors
+# (default, POLYPROF_SANITIZE, and — when
 # the toolchain supports -fsanitize=thread — POLYPROF_TSAN, which races
 # the parallel pipeline under ThreadSanitizer).
 #
@@ -35,17 +36,19 @@ else
 fi
 
 # ---- 2. clang-tidy on the static-analysis subsystems --------------------
-# src/verify (oracle, exact analysis, mutator) and src/poly (Omega test,
-# simplex, polyhedra) carry the correctness-critical arithmetic; warnings
-# there are treated as errors.
+# src/verify (oracle, exact analysis, mutator), src/poly (Omega test,
+# simplex, polyhedra, LP memo) and src/scheduler (legality search over the
+# memoized LPs) carry the correctness-critical arithmetic; warnings there
+# are treated as errors.
 if command -v clang-tidy >/dev/null 2>&1; then
-  note "clang-tidy over src/verify/ src/poly/ src/transform/ (compile_commands from build/)"
+  note "clang-tidy over src/verify/ src/poly/ src/transform/ src/scheduler/ (compile_commands from build/)"
   if [[ ! -f build/compile_commands.json ]]; then
     cmake -S . -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   fi
   if ! clang-tidy -p build --warnings-as-errors='*' \
-      src/verify/*.cpp src/poly/*.cpp src/transform/*.cpp; then
+      src/verify/*.cpp src/poly/*.cpp src/transform/*.cpp \
+      src/scheduler/*.cpp; then
     note "clang-tidy: FAILED"
     FAIL=1
   else

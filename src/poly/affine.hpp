@@ -35,6 +35,7 @@ class AffineExpr {
 
   std::size_t dim() const { return coeffs_.size(); }
   i64 coeff(std::size_t i) const { return coeffs_[i]; }
+  const std::vector<i64>& coeffs() const { return coeffs_; }
   i64& coeff(std::size_t i) { return coeffs_[i]; }
   i64 const_term() const { return constant_; }
   i64& const_term() { return constant_; }

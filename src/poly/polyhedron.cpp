@@ -145,9 +145,36 @@ std::optional<BoundResult> closed_form_min(std::size_t dim,
   return std::nullopt;
 }
 
+// The LpMemo key of minimizing the linear part of `obj` over `cs`: the
+// dimension, then per row its coefficients, constant and equality flag,
+// then the objective's coefficients.
+std::vector<i64> memo_key(std::size_t dim, const std::vector<Constraint>& cs,
+                          const AffineExpr& obj) {
+  std::vector<i64> key;
+  key.reserve(1 + cs.size() * (dim + 2) + dim);
+  key.push_back(static_cast<i64>(dim));
+  for (const auto& c : cs) {
+    key.insert(key.end(), c.expr.coeffs().begin(), c.expr.coeffs().end());
+    key.push_back(c.expr.const_term());
+    key.push_back(c.equality ? 1 : 0);
+  }
+  key.insert(key.end(), obj.coeffs().begin(), obj.coeffs().end());
+  return key;
+}
+
 }  // namespace
 
-BoundResult Polyhedron::solve(const AffineExpr& objective) const {
+std::size_t LpMemo::KeyHash::operator()(const std::vector<i64>& key) const {
+  u64 h = 14695981039346656037ull;  // FNV-1a over the words
+  for (i64 w : key) {
+    h ^= static_cast<u64>(w);
+    h *= 1099511628211ull;
+  }
+  return static_cast<std::size_t>(h);
+}
+
+BoundResult Polyhedron::solve(const AffineExpr& objective,
+                              LpMemo* memo) const {
   try {
     if (std::optional<BoundResult> b =
             closed_form_min(dim_, constraints_, objective))
@@ -155,12 +182,22 @@ BoundResult Polyhedron::solve(const AffineExpr& objective) const {
   } catch (const Error&) {
     // An intermediate overflowed i128: leave the problem to the simplex.
   }
+  std::vector<i64> key;
+  if (memo != nullptr) {
+    key = memo_key(dim_, constraints_, objective);
+    auto it = memo->answers_.find(key);
+    if (it != memo->answers_.end())
+      return {it->second.status, it->second.value, false, true, 0};
+  }
   LpResult r = lp_minimize(dim_, lp_constraints(), objective.as_rat_vec());
-  return {r.status, r.objective, false};
+  if (memo != nullptr)
+    memo->answers_.emplace(std::move(key),
+                           LpMemo::Answer{r.status, r.objective});
+  return {r.status, r.objective, false, false, r.pivots};
 }
 
 bool Polyhedron::is_rational_empty() const {
-  return solve(AffineExpr(dim_)).status == LpStatus::kInfeasible;
+  return solve(AffineExpr(dim_), nullptr).status == LpStatus::kInfeasible;
 }
 
 bool Polyhedron::is_integer_empty(u64 enumeration_cap) const {
@@ -173,16 +210,18 @@ bool Polyhedron::is_integer_empty(u64 enumeration_cap) const {
   return *n == 0;
 }
 
-BoundResult Polyhedron::minimize(const AffineExpr& objective) const {
+BoundResult Polyhedron::minimize(const AffineExpr& objective,
+                                 LpMemo* memo) const {
   PP_CHECK(objective.dim() == dim_, "objective dimension mismatch");
-  BoundResult b = solve(objective);
+  BoundResult b = solve(objective, memo);
   if (b.status == LpStatus::kOptimal)
     b.value += Rat(objective.const_term());
   return b;
 }
 
-BoundResult Polyhedron::maximize(const AffineExpr& objective) const {
-  BoundResult b = minimize(-objective);
+BoundResult Polyhedron::maximize(const AffineExpr& objective,
+                                 LpMemo* memo) const {
+  BoundResult b = minimize(-objective, memo);
   if (b.status == LpStatus::kOptimal) b.value = -b.value;
   return b;
 }
@@ -197,21 +236,9 @@ std::optional<std::pair<i128, i128>> Polyhedron::var_bounds(
 }
 
 void Polyhedron::enumerate_rec(std::vector<i64>& prefix, u64 cap, u64& count,
-                               std::vector<std::vector<i64>>* out,
-                               bool& overflow) const {
+                               const RowFn* row, bool& overflow) const {
   if (overflow) return;
   std::size_t k = prefix.size();
-  if (k == dim_) {
-    if (contains(prefix)) {
-      ++count;
-      if (count > cap) {
-        overflow = true;
-        return;
-      }
-      if (out) out->push_back(prefix);
-    }
-    return;
-  }
   // Bounds of dimension k given the fixed prefix. Fast path: constraints
   // whose only unfixed variable is x_k yield direct bounds (exact for the
   // box/octagon templates folding emits, where inner dimensions are bounded
@@ -277,11 +304,11 @@ void Polyhedron::enumerate_rec(std::vector<i64>& prefix, u64 cap, u64& count,
       to = hi.value.floor();
     }
   }
-  // Innermost level with counting only: every constraint has been folded
-  // into [from, to] (no constraint can involve a deeper variable here, and
-  // with one free variable the feasible set is an interval), so the leaf
-  // contains() check is vacuous — count the whole range at once.
-  if (k + 1 == dim_ && out == nullptr) {
+  // Innermost level: every constraint has been folded into [from, to] (no
+  // constraint can involve a deeper variable here, and with one free
+  // variable the feasible set is an interval), so the whole range is one
+  // run of points, counted at once.
+  if (k + 1 == dim_) {
     if (to >= from) {
       i128 total = static_cast<i128>(count) + (to - from + 1);
       if (total > static_cast<i128>(cap)) {
@@ -289,30 +316,44 @@ void Polyhedron::enumerate_rec(std::vector<i64>& prefix, u64 cap, u64& count,
         return;
       }
       count = static_cast<u64>(total);
+      if (row != nullptr) (*row)(prefix, narrow_i64(from), narrow_i64(to));
     }
     return;
   }
   for (i128 v = from; v <= to && !overflow; ++v) {
     prefix.push_back(narrow_i64(v));
-    enumerate_rec(prefix, cap, count, out, overflow);
+    enumerate_rec(prefix, cap, count, row, overflow);
     prefix.pop_back();
   }
 }
 
+bool Polyhedron::for_each_row(u64 cap, const RowFn& row) const {
+  PP_CHECK(dim_ >= 1, "for_each_row: zero-dimensional polyhedron");
+  std::vector<i64> prefix;
+  prefix.reserve(dim_);
+  u64 count = 0;
+  bool overflow = false;
+  enumerate_rec(prefix, cap, count, &row, overflow);
+  return !overflow;
+}
+
 std::optional<std::vector<std::vector<i64>>> Polyhedron::enumerate(
     u64 cap) const {
+  std::vector<std::vector<i64>> pts;
   if (dim_ == 0) {
     // Zero-dimensional: the single point () if consistent.
-    std::vector<std::vector<i64>> pts;
     if (!is_rational_empty()) pts.push_back({});
     return pts;
   }
-  std::vector<std::vector<i64>> pts;
-  std::vector<i64> prefix;
-  u64 count = 0;
-  bool overflow = false;
-  enumerate_rec(prefix, cap, count, &pts, overflow);
-  if (overflow) return std::nullopt;
+  bool ok = for_each_row(cap, [&](std::span<const i64> prefix, i64 lo,
+                                  i64 hi) {
+    for (i64 v = lo;; ++v) {
+      std::vector<i64>& p = pts.emplace_back(prefix.begin(), prefix.end());
+      p.push_back(v);
+      if (v == hi) break;
+    }
+  });
+  if (!ok) return std::nullopt;
   return pts;
 }
 

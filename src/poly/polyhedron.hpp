@@ -12,15 +12,18 @@
 //     boxes, pinned variables, constant rows) are solved per variable;
 //  2. bounded 2-D systems (both variables boxed by single-variable rows)
 //     are solved by walking the vertices;
-//  3. everything else goes to lp_minimize.
+//  3. everything else goes to lp_minimize, through an LpMemo when the
+//     caller passes one.
 // The status and value are the simplex's by construction: an LP over a
 // box separates by variable, and a bounded 2-D LP attains its optimum at
 // a vertex.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "poly/affine.hpp"
@@ -33,6 +36,32 @@ struct BoundResult {
   LpStatus status = LpStatus::kInfeasible;
   Rat value;  ///< valid when status == kOptimal
   bool closed_form = false;  ///< answered without the simplex
+  bool memo_hit = false;     ///< simplex tier answered from an LpMemo
+  u64 pivots = 0;            ///< simplex pivots actually run for it
+};
+
+/// Exact answers of the simplex tier, for callers that ask the same LP
+/// many times. The key is the whole integer system (every row's
+/// coefficients, constant and equality flag) plus the objective's linear
+/// coefficients; the objective's constant stays out because minimize()
+/// adds it back, and maximize() is minimize(-objective), so a zero
+/// objective shares one entry between both. Keys are compared in full —
+/// the hash only picks the bucket — so a recalled answer is the answer
+/// lp_minimize would give. Not thread-safe: one memo per task.
+class LpMemo {
+ public:
+  std::size_t size() const { return answers_.size(); }
+
+ private:
+  friend class Polyhedron;
+  struct Answer {
+    LpStatus status;
+    Rat value;
+  };
+  struct KeyHash {
+    std::size_t operator()(const std::vector<i64>& key) const;
+  };
+  std::unordered_map<std::vector<i64>, Answer, KeyHash> answers_;
 };
 
 class Polyhedron {
@@ -69,8 +98,11 @@ class Polyhedron {
   bool is_integer_empty(u64 enumeration_cap = 1u << 20) const;
 
   /// Minimize / maximize an affine form over the rational relaxation.
-  BoundResult minimize(const AffineExpr& objective) const;
-  BoundResult maximize(const AffineExpr& objective) const;
+  /// `memo` (optional) recalls and records the simplex tier's answers.
+  BoundResult minimize(const AffineExpr& objective,
+                       LpMemo* memo = nullptr) const;
+  BoundResult maximize(const AffineExpr& objective,
+                       LpMemo* memo = nullptr) const;
 
   /// Integer bounds of variable i: [ceil(rational min), floor(rational
   /// max)]; nullopt when the polyhedron is empty or the variable unbounded.
@@ -85,6 +117,15 @@ class Polyhedron {
   /// more than `cap` points.
   std::optional<std::vector<std::vector<i64>>> enumerate(
       u64 cap = 1u << 20) const;
+
+  /// The same points row by row, without materializing them: calls
+  /// `row(prefix, lo, hi)` once per innermost run, in lexicographic order,
+  /// for the points prefix ++ (v) with lo <= v <= hi (prefix has dim() - 1
+  /// entries; runs are never empty). Returns false, possibly after some
+  /// calls, when unbounded or above `cap` points; check count_points()
+  /// first to walk only bounded, capped polyhedra. Requires dim() >= 1.
+  using RowFn = std::function<void(std::span<const i64>, i64, i64)>;
+  bool for_each_row(u64 cap, const RowFn& row) const;
 
   /// Number of integer points; nullopt when unbounded or above `cap`.
   std::optional<u64> count_points(u64 cap = 1u << 20) const;
@@ -104,9 +145,9 @@ class Polyhedron {
  private:
   std::vector<LpConstraint> lp_constraints() const;
   /// Minimum of the linear part of `objective` (constant term ignored).
-  BoundResult solve(const AffineExpr& objective) const;
+  BoundResult solve(const AffineExpr& objective, LpMemo* memo) const;
   void enumerate_rec(std::vector<i64>& prefix, u64 cap, u64& count,
-                     std::vector<std::vector<i64>>* out, bool& overflow) const;
+                     const RowFn* row, bool& overflow) const;
 
   std::size_t dim_ = 0;
   std::vector<Constraint> constraints_;

@@ -47,7 +47,7 @@ class Tableau {
   // artificials out of phase 2). Returns false when unbounded; `optimum`
   // receives the minimal objective value.
   bool minimize(RatVec obj, Rat obj_const, std::vector<std::size_t>& basis,
-                Rat* optimum, std::size_t max_enter_col) {
+                Rat* optimum, std::size_t max_enter_col, u64& pivots) {
     PP_CHECK(obj.size() == num_cols_, "objective width mismatch");
     // Price out the basic variables: reduced costs must be zero on basis.
     for (std::size_t r = 0; r < rows_.size(); ++r) {
@@ -90,6 +90,7 @@ class Tableau {
       }
       if (leave == rows_.size()) return false;  // unbounded
       pivot(leave, enter, obj, obj_const, basis);
+      ++pivots;
     }
   }
 
@@ -162,9 +163,10 @@ LpResult lp_minimize(std::size_t n,
   RatVec phase1_obj(tab.num_cols(), Rat(0));
   for (std::size_t r = 0; r < m; ++r) phase1_obj[art0 + r] = Rat(1);
   Rat opt;
-  bool ok = tab.minimize(phase1_obj, Rat(0), basis, &opt, tab.num_cols());
-  PP_CHECK(ok, "phase-1 simplex cannot be unbounded");
   LpResult res;
+  bool ok = tab.minimize(phase1_obj, Rat(0), basis, &opt, tab.num_cols(),
+                         res.pivots);
+  PP_CHECK(ok, "phase-1 simplex cannot be unbounded");
   if (opt > Rat(0)) {
     res.status = LpStatus::kInfeasible;
     return res;
@@ -193,6 +195,7 @@ LpResult lp_minimize(std::size_t n,
       tab.rhs(rr) -= f * tab.rhs(r);
     }
     basis[r] = pc;
+    ++res.pivots;
   }
 
   // Phase 2: original objective over structural columns. Artificials are
@@ -205,7 +208,7 @@ LpResult lp_minimize(std::size_t n,
     phase2_obj[n + j] = -objective[j];
   }
 
-  if (!tab.minimize(phase2_obj, Rat(0), basis, &opt, art0)) {
+  if (!tab.minimize(phase2_obj, Rat(0), basis, &opt, art0, res.pivots)) {
     res.status = LpStatus::kUnbounded;
     return res;
   }

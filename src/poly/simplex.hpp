@@ -29,6 +29,7 @@ struct LpResult {
   LpStatus status = LpStatus::kInfeasible;
   Rat objective;       ///< minimal value of c·x (valid when kOptimal)
   RatVec point;        ///< a minimizer (valid when kOptimal)
+  u64 pivots = 0;      ///< tableau pivots run, both phases
 };
 
 /// One linear condition over n free variables.

@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "support/diag.hpp"
 #include "support/matrix.hpp"
@@ -24,13 +25,21 @@ struct DepVerdict {
 // schedule() sums them after the fan-out, so the totals are the same at
 // any lane count.
 struct LpCounts {
-  i64 lp_solves = 0;           ///< legality LPs the simplex answered
+  i64 lp_solves = 0;           ///< simplex runs actually executed
+  i64 simplex_pivots = 0;      ///< tableau pivots of those runs
+  i64 lp_memo_hits = 0;        ///< simplex-tier LPs recalled from the memo
   i64 closed_form_hits = 0;    ///< legality LPs answered in closed form
   i64 verdict_cache_hits = 0;  ///< (row, dep) verdicts reused in a group
 };
 
 void tally(LpCounts& n, const poly::BoundResult& b) {
-  ++(b.closed_form ? n.closed_form_hits : n.lp_solves);
+  if (b.closed_form)
+    ++n.closed_form_hits;
+  else if (b.memo_hit)
+    ++n.lp_memo_hits;
+  else
+    ++n.lp_solves;
+  n.simplex_pivots += static_cast<i64>(b.pivots);
 }
 
 // phi_dst(t) - phi_src(A(t)) as an affine expression over dst coordinates,
@@ -66,7 +75,7 @@ poly::AffineExpr latency_diff(const std::vector<i64>& row, std::size_t common,
 
 DepVerdict check_dep(const std::vector<i64>& row, const SchedStatement& src,
                      const SchedStatement& dst, const SchedDep& dep,
-                     LpCounts& n) {
+                     LpCounts& n, poly::LpMemo& memo) {
   DepVerdict v;
   std::size_t common = shared_depth(src, dst);
   if (common == 0) {
@@ -83,7 +92,7 @@ DepVerdict check_dep(const std::vector<i64>& row, const SchedStatement& src,
       return v;
     }
     poly::AffineExpr diff = latency_diff(row, common, dst.depth, piece);
-    poly::BoundResult lo = piece.dst_domain.minimize(diff);
+    poly::BoundResult lo = piece.dst_domain.minimize(diff, &memo);
     tally(n, lo);
     if (lo.status == poly::LpStatus::kInfeasible) continue;  // empty piece
     if (lo.status != poly::LpStatus::kOptimal) {
@@ -98,7 +107,7 @@ DepVerdict check_dep(const std::vector<i64>& row, const SchedStatement& src,
     // and the aggregate zero verdict is still alive.
     bool piece_zero = false;
     if (v.zero && lo.value == Rat(0)) {
-      poly::BoundResult hi = piece.dst_domain.maximize(diff);
+      poly::BoundResult hi = piece.dst_domain.maximize(diff, &memo);
       tally(n, hi);
       piece_zero =
           hi.status == poly::LpStatus::kOptimal && hi.value == Rat(0);
@@ -162,27 +171,23 @@ bool lin_indep(const std::vector<std::vector<i64>>& rows,
   return m.rows() == 0 || !m.row_space_contains(cv);
 }
 
-// Schedules one fused group of statements.
-GroupSchedule schedule_group(const Problem& problem, std::vector<int> stmts,
+using StatementIndex = std::unordered_map<int, const SchedStatement*>;
+
+// Schedules one fused group of statements. `deps` are the dependences
+// internal to the group, in problem order.
+GroupSchedule schedule_group(const StatementIndex& by_id,
+                             std::vector<int> stmts,
+                             const std::vector<const SchedDep*>& deps,
                              const Options& opts, LpCounts& n) {
   GroupSchedule g;
   std::sort(stmts.begin(), stmts.end());
   g.stmts = stmts;
-  std::map<int, const SchedStatement*> by_id;
-  for (const auto& s : problem.statements) by_id[s.id] = &s;
-  std::set<int> in_group(stmts.begin(), stmts.end());
   std::size_t depth = 0;
   for (int id : stmts) {
     g.ops += by_id.at(id)->ops;
     depth = std::max(depth, by_id.at(id)->depth);
   }
   if (depth == 0) return g;
-
-  // Dependences internal to this group.
-  std::vector<const SchedDep*> deps;
-  for (const auto& d : problem.deps) {
-    if (in_group.count(d.src) && in_group.count(d.dst)) deps.push_back(&d);
-  }
   // Opaque dependences force the identity schedule with no feedback —
   // unless the endpoints share no loops, in which case statement order
   // already satisfies them.
@@ -204,8 +209,12 @@ GroupSchedule schedule_group(const Problem& problem, std::vector<int> stmts,
   // loop re-visits the same candidate rows, the band-legality pass
   // re-checks deps the scoring pass already solved, and the chosen row is
   // checked a third time when carried deps are retired. Each check is
-  // several exact rational simplex solves (the dominant cost of
-  // scheduling), so cache verdicts for the whole group search.
+  // one or two LPs, so cache verdicts for the whole group search. Below
+  // the verdicts, distinct (row, dep) pairs still pose the same LP — a
+  // row along which a piece's distance is identically zero leaves a zero
+  // objective, a bare feasibility test of the piece — so the simplex tier
+  // is memoized too, one memo per group task (never shared by lanes).
+  poly::LpMemo memo;
   std::vector<std::optional<DepVerdict>> vcache(candidates.size() *
                                                 deps.size());
   auto checked = [&](std::size_t ci, std::size_t di) -> const DepVerdict& {
@@ -216,7 +225,7 @@ GroupSchedule schedule_group(const Problem& problem, std::vector<int> stmts,
     }
     const SchedDep& d = *deps[di];
     slot = check_dep(candidates[ci].row, *by_id.at(d.src), *by_id.at(d.dst),
-                     d, n);
+                     d, n, memo);
     return *slot;
   };
 
@@ -418,6 +427,22 @@ ScheduleResult schedule(const Problem& problem, const Options& opts) {
     for (auto& [_, v] : by_root) groups.push_back(std::move(v));
   }
 
+  // The statement index and each group's internal dependences (in problem
+  // order), built once for all groups.
+  StatementIndex by_id;
+  for (const auto& s : problem.statements) by_id[s.id] = &s;
+  std::unordered_map<int, std::size_t> group_of;
+  for (std::size_t i = 0; i < groups.size(); ++i)
+    for (int id : groups[i]) group_of[id] = i;
+  std::vector<std::vector<const SchedDep*>> group_deps(groups.size());
+  for (const auto& d : problem.deps) {
+    auto src = group_of.find(d.src);
+    auto dst = group_of.find(d.dst);
+    if (src != group_of.end() && dst != group_of.end() &&
+        src->second == dst->second)
+      group_deps[src->second].push_back(&d);
+  }
+
   // Fused groups are dependence-disjoint: schedule each independently,
   // fanned out on the caller's pool into pre-indexed slots (serial when
   // no pool / one lane — parallel_for runs inline in index order).
@@ -436,8 +461,8 @@ ScheduleResult schedule(const Problem& problem, const Options& opts) {
     // deadline; worker tasks never mutate the token).
     if (opts.cancel != nullptr && opts.cancel->cancelled())
       throw Error("job cancelled during scheduling");
-    res.groups[i] =
-        schedule_group(problem, std::move(groups[i]), opts, counts[i]);
+    res.groups[i] = schedule_group(by_id, std::move(groups[i]), group_deps[i],
+                                   opts, counts[i]);
   };
   if (opts.pool != nullptr) {
     opts.pool->parallel_for(groups.size(), run_group);
@@ -448,10 +473,14 @@ ScheduleResult schedule(const Problem& problem, const Options& opts) {
     LpCounts total;
     for (const LpCounts& c : counts) {
       total.lp_solves += c.lp_solves;
+      total.simplex_pivots += c.simplex_pivots;
+      total.lp_memo_hits += c.lp_memo_hits;
       total.closed_form_hits += c.closed_form_hits;
       total.verdict_cache_hits += c.verdict_cache_hits;
     }
     opts.obs->add("sched.lp_solves", total.lp_solves);
+    opts.obs->add("sched.simplex_pivots", total.simplex_pivots);
+    opts.obs->add("sched.lp_memo_hits", total.lp_memo_hits);
     opts.obs->add("sched.closed_form_hits", total.closed_form_hits);
     opts.obs->add("sched.verdict_cache_hits", total.verdict_cache_hits);
   }

@@ -9,9 +9,9 @@
 //  * legality of a candidate row is decided by *minimizing* the schedule
 //    latency difference over each (bounded) dependence piece with an
 //    exact rational LP (Polyhedron::minimize: closed form on box and
-//    bounded 2-D pieces, simplex otherwise) — min >= 0 is weak legality,
-//    min > 0 carries the dependence (sound for integer points since
-//    rational min <= integer min);
+//    bounded 2-D pieces, simplex otherwise, memoized per group) — min >= 0
+//    is weak legality, min > 0 carries the dependence (sound for integer
+//    points since rational min <= integer min);
 //  * candidate rows are drawn from the Pluto cone with small coefficients:
 //    unit vectors first (permutations), then ±1/±2 skews — the paper's
 //    "we tend to avoid skewing unless it really provides improvements";
@@ -82,7 +82,8 @@ struct Options {
   support::ThreadPool* pool = nullptr;
   /// Observability session (may be null): schedule() wraps its group
   /// fan-out in a span and counts groups, statements and legality LPs
-  /// (sched.lp_solves / sched.closed_form_hits / sched.verdict_cache_hits).
+  /// (sched.lp_solves / sched.simplex_pivots / sched.lp_memo_hits /
+  /// sched.closed_form_hits / sched.verdict_cache_hits).
   obs::Session* obs = nullptr;
   /// Cancellation token (may be null): polled at entry and before each
   /// group's candidate search. A fired token makes schedule() throw

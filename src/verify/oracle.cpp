@@ -1,9 +1,12 @@
 #include "verify/oracle.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <type_traits>
+#include <unordered_map>
 
 #include "verify/dataflow.hpp"
 #include "verify/exact.hpp"
@@ -267,16 +270,22 @@ std::size_t shared_depth(const ddg::Statement& a, const ddg::Statement& b) {
   return std::min({k, a.depth, b.depth});
 }
 
-constexpr u64 kEnumCap = 4096;  ///< instance budget per piece
-
 struct ClaimChecker {
-  const fold::FoldedProgram& prog;
   ClaimReport& rep;
   std::vector<std::set<int>>& contradicted;  ///< per group: level indices
   std::set<std::tuple<int, int, int, int>> seen;  ///< (grp,lvl,dep,kind) dedup
+  // Buffers of the enumerated walk, reused across rows and pieces.
+  std::vector<i64> t;      ///< current target instance
+  std::vector<i128> s;     ///< its source instance (first `shared` coords)
+  std::vector<i128> dist;  ///< per level: distance at the current instance
+  std::vector<i128> step;  ///< per level: distance change per innermost step
 
+  /// Records a witness unless (grp, lvl, dep, kind) already has one.
+  /// `detail` is the evidence text, or a callable rendering it — called
+  /// only for a new witness, so repeated violations cost no string.
+  template <typename Detail>
   void witness(ClaimWitness::Kind kind, int grp, int lvl, int dep_idx,
-               const fold::FoldedDep& d, const std::string& detail) {
+               const fold::FoldedDep& d, const Detail& detail) {
     if (!seen.insert({grp, lvl, dep_idx, static_cast<int>(kind)}).second)
       return;
     ClaimWitness w;
@@ -299,59 +308,91 @@ struct ClaimChecker {
     }
     os << " at group " << grp << " level " << lvl << " by "
        << ddg::dep_kind_name(d.kind) << " s" << d.src << " -> s" << d.dst
-       << ": " << detail;
+       << ": ";
+    if constexpr (std::is_invocable_v<const Detail&>)
+      os << detail();
+    else
+      os << detail;
     w.message = os.str();
     rep.witnesses.push_back(std::move(w));
     if (kind == ClaimWitness::Kind::kParallelContradicted)
       contradicted[static_cast<std::size_t>(grp)].insert(lvl);
   }
 
-  /// Schedule distance of `level` for one enumerated instance.
-  static i128 distance(const scheduler::Level& level, std::size_t shared,
-                       std::span<const i64> t, std::span<const i128> s) {
-    i128 dist = 0;
-    std::size_t n = std::min(shared, level.row.size());
-    for (std::size_t j = 0; j < n; ++j)
-      dist += static_cast<i128>(level.row[j]) *
-              (static_cast<i128>(t[j]) - s[j]);
-    return dist;
-  }
-
-  /// Instance-exact walk over an enumerable piece.
-  void check_enumerated(const std::vector<std::vector<i64>>& pts,
-                        const poly::Piece& piece,
+  /// Instance-exact walk over an enumerable piece, in place: the piece's
+  /// points come row by row from its own bounds, and along a row only the
+  /// innermost coordinate moves, so each level's distance
+  ///   sum_j row_j * (t_j - s_j),  s = label_fn(t),  j < shared
+  /// changes by a constant step per instance. The source instance is
+  /// evaluated once per row; nothing is allocated per instance.
+  void check_enumerated(const poly::Piece& piece,
                         const scheduler::GroupSchedule& g, int grp,
                         std::size_t shared, int dep_idx,
                         const fold::FoldedDep& d) {
-    for (const auto& t : pts) {
-      ++rep.instances_checked;
-      std::vector<i128> s = piece.label_fn.eval(t);
-      bool satisfied = false;
-      bool band_satisfied = false;
-      for (std::size_t li = 0; li < g.levels.size(); ++li) {
-        const scheduler::Level& lv = g.levels[li];
-        if (li == 0 || lv.new_band) band_satisfied = satisfied;
-        i128 dist = distance(lv, shared, t, s);
-        auto detail = [&]() {
-          std::ostringstream det;
-          det << "distance " << static_cast<long long>(dist)
-              << " at instance (";
-          for (std::size_t j = 0; j < t.size(); ++j)
-            det << (j ? "," : "") << t[j];
-          det << ")";
-          return det.str();
-        };
-        if (!satisfied && dist < 0)
-          witness(ClaimWitness::Kind::kIllegalLevel, grp,
-                  static_cast<int>(li), dep_idx, d, detail());
-        else if (!band_satisfied && dist < 0)
-          witness(ClaimWitness::Kind::kBandViolation, grp,
-                  static_cast<int>(li), dep_idx, d, detail());
-        if (lv.parallel && !satisfied && dist != 0)
-          witness(ClaimWitness::Kind::kParallelContradicted, grp,
-                  static_cast<int>(li), dep_idx, d, detail());
-        if (dist > 0) satisfied = true;
+    const std::size_t dim = piece.domain.dim();
+    const std::size_t inner = dim - 1;
+    const std::size_t nlev = g.levels.size();
+    t.resize(dim);
+    s.resize(shared);
+    dist.resize(nlev);
+    step.resize(nlev);
+    for (std::size_t li = 0; li < nlev; ++li) {
+      const std::vector<i64>& row = g.levels[li].row;
+      step[li] = 0;
+      for (std::size_t j = 0; j < std::min(shared, row.size()); ++j)
+        step[li] += static_cast<i128>(row[j]) *
+                    ((j == inner ? 1 : 0) -
+                     static_cast<i128>(piece.label_fn.output(j).coeff(inner)));
+    }
+    auto walk_row = [&](std::span<const i64> prefix, i64 lo, i64 hi) {
+      std::copy(prefix.begin(), prefix.end(), t.begin());
+      t[inner] = lo;
+      for (std::size_t j = 0; j < shared; ++j)
+        s[j] = piece.label_fn.output(j).eval(t);
+      for (std::size_t li = 0; li < nlev; ++li) {
+        const std::vector<i64>& row = g.levels[li].row;
+        dist[li] = 0;
+        for (std::size_t j = 0; j < std::min(shared, row.size()); ++j)
+          dist[li] += static_cast<i128>(row[j]) * (t[j] - s[j]);
       }
+      for (i64 v = lo;; ++v) {
+        t[inner] = v;
+        check_instance(g, grp, dep_idx, d);
+        if (v == hi) break;
+        for (std::size_t li = 0; li < nlev; ++li) dist[li] += step[li];
+      }
+    };
+    piece.domain.for_each_row(kClaimEnumCap, walk_row);
+  }
+
+  /// The level walk of one instance `t` with per-level distances `dist`.
+  void check_instance(const scheduler::GroupSchedule& g, int grp,
+                      int dep_idx, const fold::FoldedDep& d) {
+    ++rep.instances_checked;
+    bool satisfied = false;
+    bool band_satisfied = false;
+    for (std::size_t li = 0; li < g.levels.size(); ++li) {
+      const scheduler::Level& lv = g.levels[li];
+      if (li == 0 || lv.new_band) band_satisfied = satisfied;
+      const i128 dl = dist[li];
+      auto detail = [&]() {
+        std::ostringstream det;
+        det << "distance " << static_cast<long long>(dl) << " at instance (";
+        for (std::size_t j = 0; j < t.size(); ++j)
+          det << (j ? "," : "") << t[j];
+        det << ")";
+        return det.str();
+      };
+      if (!satisfied && dl < 0)
+        witness(ClaimWitness::Kind::kIllegalLevel, grp, static_cast<int>(li),
+                dep_idx, d, detail);
+      else if (!band_satisfied && dl < 0)
+        witness(ClaimWitness::Kind::kBandViolation, grp,
+                static_cast<int>(li), dep_idx, d, detail);
+      if (lv.parallel && !satisfied && dl != 0)
+        witness(ClaimWitness::Kind::kParallelContradicted, grp,
+                static_cast<int>(li), dep_idx, d, detail);
+      if (dl > 0) satisfied = true;
     }
   }
 
@@ -469,10 +510,24 @@ struct ClaimChecker {
                     std::size_t shared, int dep_idx,
                     const fold::FoldedDep& d) {
     ++rep.capped_pieces;
-    if (!check_exact(piece, g, grp, shared, dep_idx, d))
+    if (check_exact(piece, g, grp, shared, dep_idx, d)) {
+      ++rep.exact_pieces;
+    } else {
+      ++rep.lp_fallbacks;
       check_lp(piece, g, grp, shared, dep_idx, d);
+    }
   }
 };
+
+// Adds `part`'s counters (not its witnesses or downgrades) to `total`.
+void add_counts(ClaimReport& total, const ClaimReport& part) {
+  total.parallel_levels += part.parallel_levels;
+  total.instances_checked += part.instances_checked;
+  total.capped_pieces += part.capped_pieces;
+  total.enum_pieces += part.enum_pieces;
+  total.exact_pieces += part.exact_pieces;
+  total.lp_fallbacks += part.lp_fallbacks;
+}
 
 }  // namespace
 
@@ -486,37 +541,58 @@ ClaimReport check_parallel_claims(const fold::FoldedProgram& prog,
   // so counters and witness order match the serial sweep exactly.
   std::vector<ClaimReport> parts(groups.size());
 
+  // The dependences each checked group re-validates — those with both
+  // endpoints in it — indexed once, in program order.
+  std::unordered_map<int, std::vector<std::size_t>> groups_of;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    if (!groups[gi].schedulable || groups[gi].levels.empty()) continue;
+    for (int id : groups[gi].stmts) {
+      std::vector<std::size_t>& of = groups_of[id];
+      if (of.empty() || of.back() != gi) of.push_back(gi);
+    }
+  }
+  std::vector<std::vector<std::size_t>> group_deps(groups.size());
+  for (std::size_t di = 0; di < prog.deps.size(); ++di) {
+    auto src = groups_of.find(prog.deps[di].src);
+    auto dst = groups_of.find(prog.deps[di].dst);
+    if (src == groups_of.end() || dst == groups_of.end()) continue;
+    for (std::size_t gi : src->second)
+      if (std::find(dst->second.begin(), dst->second.end(), gi) !=
+          dst->second.end())
+        group_deps[gi].push_back(di);
+  }
+
   auto check_group = [&](std::size_t gi) {
     const scheduler::GroupSchedule& g = groups[gi];
     if (!g.schedulable || g.levels.empty()) return;
     ClaimReport& part = parts[gi];
-    ClaimChecker checker{prog, part, contradicted, {}};
+    ClaimChecker checker{part, contradicted, {}, {}, {}, {}, {}};
     for (const auto& lv : g.levels)
       if (lv.parallel) ++part.parallel_levels;
-    std::set<int> in_group(g.stmts.begin(), g.stmts.end());
 
-    for (std::size_t di = 0; di < prog.deps.size(); ++di) {
+    for (std::size_t di : group_deps[gi]) {
       const fold::FoldedDep& d = prog.deps[di];
-      if (!in_group.count(d.src) || !in_group.count(d.dst)) continue;
       std::size_t shared =
           shared_depth(prog.stmt(d.src).meta, prog.stmt(d.dst).meta);
       if (shared == 0) continue;  // no common loop: order satisfies it
 
-      // Must-pieces only: every instance they describe provably occurred,
-      // so a contradiction is a real one (over-approximate pieces would
+      // Must-pieces only (the exact pieces must_relation() keeps, read in
+      // place): every instance they describe provably occurred, so a
+      // contradiction is a real one (over-approximate pieces would
       // manufacture false alarms).
-      poly::PolySet must = d.must_relation();
-      for (const poly::Piece& piece : must.pieces()) {
+      for (const poly::Piece& piece : d.relation.pieces()) {
+        if (!piece.exact) continue;
         if (piece.domain.dim() < shared ||
             piece.label_fn.out_dim() < shared)
           continue;  // malformed piece: nothing checkable
-        auto pts = piece.domain.enumerate(kEnumCap);
-        if (pts)
-          checker.check_enumerated(*pts, piece, g, static_cast<int>(gi),
-                                   shared, static_cast<int>(di), d);
-        else
+        if (piece.domain.count_points(kClaimEnumCap)) {
+          ++part.enum_pieces;
+          checker.check_enumerated(piece, g, static_cast<int>(gi), shared,
+                                   static_cast<int>(di), d);
+        } else {
           checker.check_capped(piece, g, static_cast<int>(gi), shared,
                                static_cast<int>(di), d);
+        }
       }
     }
   };
@@ -528,9 +604,7 @@ ClaimReport check_parallel_claims(const fold::FoldedProgram& prog,
 
   ClaimReport rep;
   for (ClaimReport& part : parts) {
-    rep.parallel_levels += part.parallel_levels;
-    rep.instances_checked += part.instances_checked;
-    rep.capped_pieces += part.capped_pieces;
+    add_counts(rep, part);
     for (ClaimWitness& w : part.witnesses)
       rep.witnesses.push_back(std::move(w));
   }
@@ -623,13 +697,15 @@ OracleReport run_oracle(const ir::Module& m, const fold::FoldedProgram& prog,
   }
   if (obs != nullptr && obs->enabled()) {
     obs->add("oracle.regions_checked", static_cast<i64>(picked.size()));
-    i64 claims = 0, capped = 0;
-    for (const auto& c : r.claims) {
-      claims += static_cast<i64>(c.parallel_levels);
-      capped += static_cast<i64>(c.capped_pieces);
-    }
-    obs->add("oracle.parallel_levels_checked", claims);
-    obs->add("verify.cap_hits", capped);
+    ClaimReport total;
+    for (const auto& c : r.claims) add_counts(total, c);
+    obs->add("oracle.parallel_levels_checked",
+             static_cast<i64>(total.parallel_levels));
+    obs->add("verify.cap_hits", static_cast<i64>(total.capped_pieces));
+    obs->add("oracle.instances", static_cast<i64>(total.instances_checked));
+    obs->add("oracle.enum_pieces", static_cast<i64>(total.enum_pieces));
+    obs->add("oracle.exact_pieces", static_cast<i64>(total.exact_pieces));
+    obs->add("oracle.lp_fallbacks", static_cast<i64>(total.lp_fallbacks));
   }
   return r;
 }

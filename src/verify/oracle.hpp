@@ -106,6 +106,11 @@ struct ClaimWitness {
   std::string message;
 };
 
+/// Instance budget per dependence piece of the claims walk: pieces with at
+/// most this many integer points are walked instance by instance, larger
+/// ones are decided per level by the exact integer test.
+inline constexpr u64 kClaimEnumCap = 4096;
+
 /// Part (b): parallel/permutable claims re-validated against the DDG.
 struct ClaimReport {
   u64 parallel_levels = 0;    ///< parallel claims examined
@@ -114,6 +119,9 @@ struct ClaimReport {
   /// (Omega) per level, with the rational LP bounds as the fallback when a
   /// query hits the effort cap.
   u64 capped_pieces = 0;
+  u64 enum_pieces = 0;   ///< pieces walked instance by instance
+  u64 exact_pieces = 0;  ///< capped pieces the Omega core decided
+  u64 lp_fallbacks = 0;  ///< capped pieces left to the rational LP bounds
   int downgraded_levels = 0;  ///< parallel flags cleared by the oracle
   std::vector<ClaimWitness> witnesses;
 
@@ -148,8 +156,10 @@ struct OracleReport {
 /// checks (each region's metrics are touched by exactly one task) and the
 /// per-group sweeps within each region. Reports collect into pre-indexed
 /// slots and merge in region order — byte-identical at any lane count.
-/// `obs` (optional) wraps the run in a span and counts regions/claims and
-/// enumeration-cap hits (`verify.cap_hits`).
+/// `obs` (optional) wraps the run in a span and counts regions/claims,
+/// enumeration-cap hits (`verify.cap_hits`) and the claims walk's work
+/// (`oracle.instances`, `oracle.enum_pieces`, `oracle.exact_pieces`,
+/// `oracle.lp_fallbacks`).
 /// `cancel` (optional): a token fired before the run skips the coverage
 /// sweep entirely; one fired mid-run leaves the remaining regions'
 /// ClaimReports empty (zero claims, no witnesses) — an un-examined claim

@@ -178,5 +178,40 @@ TEST(SelfProfile, SchedulerLpCountersSplitClosedFormFromSimplex) {
   EXPECT_GT(pf.at("sched.closed_form_hits").value, 0);
 }
 
+// The per-group LP memo answers the repeats of the simplex tier:
+// particlefilter poses 371 simplex-tier LPs over 4 distinct systems and
+// heartwall 22 over 11, so only the distinct ones run the simplex. The
+// memo and the oracle's walk are per-task, so their counters (and the
+// changed lp_solves) are the same at any thread count.
+TEST(SelfProfile, LpMemoAndOracleCountersAreStableAcrossThreads) {
+  auto counters_after_report = [](const char* name, unsigned threads) {
+    workloads::Workload wl = workloads::make_rodinia(name);
+    core::ProfileResult r = observed_run(wl.module, threads);
+    core::full_report(r);
+    return r.obs->counters();
+  };
+  const char* kCounters[] = {
+      "sched.lp_solves",     "sched.lp_memo_hits",  "sched.simplex_pivots",
+      "oracle.instances",    "oracle.enum_pieces",  "oracle.exact_pieces",
+      "oracle.lp_fallbacks"};
+  for (const char* name : {"particlefilter", "heartwall"}) {
+    auto serial = counters_after_report(name, 1);
+    auto threaded = counters_after_report(name, 4);
+    for (const char* c : kCounters) {
+      EXPECT_EQ(serial.at(c).stability, obs::Stability::kStable) << c;
+      EXPECT_EQ(serial.at(c).value, threaded.at(c).value) << name << " " << c;
+    }
+    EXPECT_GT(serial.at("sched.lp_solves").value, 0) << name;
+    EXPECT_GT(serial.at("sched.simplex_pivots").value, 0) << name;
+    EXPECT_GT(serial.at("oracle.instances").value, 0) << name;
+    EXPECT_GT(serial.at("oracle.enum_pieces").value, 0) << name;
+  }
+  auto pf = counters_after_report("particlefilter", 1);
+  EXPECT_GT(pf.at("sched.lp_memo_hits").value, 300);
+  EXPECT_LE(pf.at("sched.lp_solves").value, 8);
+  auto hw = counters_after_report("heartwall", 1);
+  EXPECT_LE(hw.at("sched.lp_solves").value, 11);
+}
+
 }  // namespace
 }  // namespace pp

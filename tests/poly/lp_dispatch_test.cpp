@@ -3,9 +3,12 @@
 // to the simplex. These tests pin the closed-form tiers to lp_minimize on
 // randomized systems: same status, same exact value, for min and max —
 // and check which tier answered, so a shape that silently fell back to
-// the simplex cannot pass as a closed-form test.
+// the simplex cannot pass as a closed-form test. The LpMemo tests pin the
+// memoized simplex tier the same way: every recalled answer equals a
+// fresh lp_minimize, and recalls demonstrably happen.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "poly/polyhedron.hpp"
@@ -209,6 +212,160 @@ TEST(LpDispatch, HigherDimensionalCouplingUsesSimplex) {
   const AffineExpr obj = AffineExpr::var(3, 2) - AffineExpr::var(3, 0);
   EXPECT_FALSE(expect_matches_simplex(p, obj));
   EXPECT_EQ(p.maximize(obj).value, Rat(0));
+}
+
+// A 3-D system the closed-form tiers decline: each variable boxed, half-
+// open or free, plus one to three rows coupling two or three variables
+// (some of them equalities). Empty and unbounded systems both occur.
+Polyhedron random_coupled(std::mt19937_64& rng) {
+  constexpr std::size_t kDim = 3;
+  Polyhedron p(kDim);
+  for (std::size_t j = 0; j < kDim; ++j) {
+    const i64 lo = pick(rng, -4, 4);
+    switch (pick(rng, 0, 5)) {
+      case 0:
+        p.add_ge0(single(kDim, j, 1, -lo));
+        break;
+      case 1:
+        p.add_ge0(single(kDim, j, -1, lo));
+        break;
+      case 2:
+        break;
+      default:
+        p.add_ge0(single(kDim, j, pick(rng, 1, 2), -lo));
+        p.add_ge0(single(kDim, j, -1, lo + pick(rng, 0, 6)));
+    }
+  }
+  const i64 rows = pick(rng, 1, 3);
+  for (i64 r = 0; r < rows; ++r) {
+    AffineExpr e(kDim);
+    const std::size_t a = static_cast<std::size_t>(pick(rng, 0, 2));
+    const std::size_t b = (a + static_cast<std::size_t>(pick(rng, 1, 2))) % 3;
+    e.coeff(a) = pick(rng, 0, 1) ? pick(rng, 1, 2) : -pick(rng, 1, 2);
+    e.coeff(b) = pick(rng, 0, 1) ? pick(rng, 1, 2) : -pick(rng, 1, 2);
+    e.coeff(3 - a - b) = pick(rng, -1, 1);
+    e.const_term() = pick(rng, -6, 8);
+    if (pick(rng, 0, 5) == 0)
+      p.add_eq0(e);
+    else
+      p.add_ge0(e);
+  }
+  return p;
+}
+
+// Checks one memoized answer against a fresh simplex solve.
+void expect_fresh(const Polyhedron& p, const AffineExpr& obj, bool max,
+                  const BoundResult& b) {
+  const std::vector<LpConstraint> cs = as_lp(p);
+  const LpResult fresh = max ? lp_maximize(p.dim(), cs, obj.as_rat_vec())
+                             : lp_minimize(p.dim(), cs, obj.as_rat_vec());
+  EXPECT_EQ(b.status, fresh.status)
+      << p.str() << (max ? " max " : " min ") << obj.str();
+  if (b.status == LpStatus::kOptimal && fresh.status == LpStatus::kOptimal) {
+    EXPECT_EQ(b.value, fresh.objective + Rat(obj.const_term()))
+        << p.str() << (max ? " max " : " min ") << obj.str();
+  }
+}
+
+TEST(LpMemo, RepeatedQueriesMatchFreshSimplex) {
+  int hits = 0, solves = 0, infeasible = 0, unbounded = 0, optimal = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    std::mt19937_64 rng(static_cast<u64>(seed) + 3000);
+    const Polyhedron p = random_coupled(rng);
+    const AffineExpr obj = random_objective(rng, 3);
+    // The same objective, its negation, a permutation of its coefficients
+    // and a zero objective (a feasibility test) — each asked three times
+    // as a min and as a max, in a seed-shuffled order, through one memo.
+    AffineExpr permuted(3);
+    for (std::size_t j = 0; j < 3; ++j)
+      permuted.coeff(j) = obj.coeff((j + 1) % 3);
+    permuted.const_term() = obj.const_term();
+    const std::vector<AffineExpr> objs = {
+        obj, -obj, permuted, AffineExpr::constant(3, pick(rng, -3, 3))};
+    std::vector<std::pair<std::size_t, bool>> queries;
+    for (int rep = 0; rep < 3; ++rep)
+      for (std::size_t i = 0; i < objs.size(); ++i)
+        for (bool max : {false, true}) queries.emplace_back(i, max);
+    std::shuffle(queries.begin(), queries.end(), rng);
+    LpMemo memo;
+    for (const auto& [i, max] : queries) {
+      const BoundResult b =
+          max ? p.maximize(objs[i], &memo) : p.minimize(objs[i], &memo);
+      expect_fresh(p, objs[i], max, b);
+      if (b.closed_form) continue;  // contradictory box rows: no simplex
+      if (b.memo_hit) {
+        ++hits;
+        EXPECT_EQ(b.pivots, 0u);
+      } else {
+        ++solves;
+      }
+      infeasible += b.status == LpStatus::kInfeasible;
+      unbounded += b.status == LpStatus::kUnbounded;
+      optimal += b.status == LpStatus::kOptimal;
+    }
+    // At most one entry per distinct linear objective: obj / -obj and
+    // their max/min twins share, the zero objective is one entry.
+    EXPECT_LE(memo.size(), 5u) << p.str();
+  }
+  // Each (objective, direction) is solved at most once, so at least two
+  // of every three repeats are recalls; every outcome occurs.
+  EXPECT_GT(solves, 0);
+  EXPECT_GE(hits, 2 * solves);
+  EXPECT_GT(infeasible, 0);
+  EXPECT_GT(unbounded, 0);
+  EXPECT_GT(optimal, 0);
+}
+
+TEST(LpMemo, ZeroAndNegatedObjectivesShareEntries) {
+  Polyhedron p = Polyhedron::box({{0, 4}, {0, 4}, {0, 4}});
+  p.add_ge0(AffineExpr::var(3, 0) - AffineExpr::var(3, 2));  // x0 >= x2
+  LpMemo memo;
+  const AffineExpr zero = AffineExpr::constant(3, 5);
+  const BoundResult lo = p.minimize(zero, &memo);
+  EXPECT_FALSE(lo.closed_form);
+  EXPECT_FALSE(lo.memo_hit);
+  const BoundResult hi = p.maximize(zero, &memo);
+  EXPECT_TRUE(hi.memo_hit);
+  EXPECT_EQ(lo.value, Rat(5));
+  EXPECT_EQ(hi.value, Rat(5));
+  EXPECT_EQ(memo.size(), 1u);
+  // min(obj) and max(-obj) pose the same LP.
+  const AffineExpr obj = AffineExpr::var(3, 2) - AffineExpr::var(3, 0) + 1;
+  const BoundResult mn = p.minimize(obj, &memo);
+  const BoundResult mx = p.maximize(-obj, &memo);
+  EXPECT_FALSE(mn.memo_hit);
+  EXPECT_TRUE(mx.memo_hit);
+  EXPECT_EQ(mx.value, -mn.value);
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(LpMemo, KeysCompareEveryRowInFull) {
+  // Three systems that differ only in one row's equality flag or constant
+  // must not share an answer.
+  const AffineExpr x = AffineExpr::var(3, 0), y = AffineExpr::var(3, 1),
+                   z = AffineExpr::var(3, 2);
+  Polyhedron base = Polyhedron::box({{0, 6}, {0, 6}, {0, 6}});
+  Polyhedron ge = base, eq = base, shifted = base;
+  ge.add_ge0(x + y + z - 12);       // x + y + z >= 12
+  eq.add_eq0(x + y + z - 12);       // x + y + z == 12
+  shifted.add_ge0(x + y + z - 13);  // x + y + z >= 13
+  LpMemo memo;
+  const AffineExpr obj = x + y * 2 + z;
+  for (const Polyhedron* p : {&ge, &eq, &shifted}) {
+    for (bool max : {false, true}) {
+      const BoundResult b =
+          max ? p->maximize(obj, &memo) : p->minimize(obj, &memo);
+      EXPECT_FALSE(b.closed_form);
+      EXPECT_FALSE(b.memo_hit) << p->str();
+      expect_fresh(*p, obj, max, b);
+    }
+  }
+  EXPECT_EQ(memo.size(), 6u);
+  // The three systems really have different answers.
+  EXPECT_EQ(ge.maximize(obj).value, Rat(24));
+  EXPECT_EQ(eq.maximize(obj).value, Rat(18));
+  EXPECT_EQ(ge.minimize(obj).value, Rat(12));
+  EXPECT_EQ(shifted.minimize(obj).value, Rat(14));
 }
 
 }  // namespace

@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
+#include <set>
+#include <sstream>
+#include <tuple>
+
 #include "core/pipeline.hpp"
 #include "ir/builder.hpp"
 #include "workloads/workloads.hpp"
@@ -271,6 +277,254 @@ TEST(Oracle, CappedForcedClaimYieldsIntegerWitness) {
         w.message.find("integer instance") != std::string::npos)
       integer_witness = true;
   EXPECT_TRUE(integer_witness) << rep.str();
+}
+
+// ---------------------------------------------------------------------------
+// The claims walk visits enumerable pieces in place: row by row from the
+// piece's bounds, each level's distance stepped along the innermost
+// coordinate. These tests pin it to the walk it replaced — every lattice
+// point in lexicographic order (here: a brute-force scan of a bounding
+// box), the source instance evaluated per point — on random box and
+// octagon pieces, including pieces at, just under and just over the
+// enumeration cap.
+
+i64 pick(std::mt19937_64& rng, i64 lo, i64 hi) {
+  return std::uniform_int_distribution<i64>(lo, hi)(rng);
+}
+
+// A coordinate index in [from, dim).
+std::size_t pick_dim(std::mt19937_64& rng, std::size_t from,
+                     std::size_t dim) {
+  return static_cast<std::size_t>(
+      pick(rng, static_cast<i64>(from), static_cast<i64>(dim) - 1));
+}
+
+struct BoxedPiece {
+  poly::Piece piece;
+  std::vector<std::pair<i64, i64>> bbox;  ///< a bounding box of the domain
+};
+
+// A random label function (source instance) over `dim` coordinates: mostly
+// the identity shifted by a small constant, sometimes scaled or coupled to
+// another coordinate, so distances vary along every dimension.
+poly::AffineMap random_label_fn(std::mt19937_64& rng, std::size_t dim) {
+  std::vector<poly::AffineExpr> outs;
+  for (std::size_t j = 0; j < dim; ++j) {
+    poly::AffineExpr e(dim);
+    e.coeff(j) = pick(rng, 0, 3) == 0 ? pick(rng, 0, 2) : 1;
+    if (pick(rng, 0, 2) == 0)
+      e.coeff(pick_dim(rng, 0, dim)) += pick(rng, -1, 1);
+    e.const_term() = pick(rng, -2, 2);
+    outs.push_back(std::move(e));
+  }
+  return poly::AffineMap(dim, std::move(outs));
+}
+
+// A box with the given extents; `octagon` adds one or two ±x ± y + k rows
+// that cut it (the box stays a bounding box).
+BoxedPiece random_piece(std::mt19937_64& rng, const std::vector<i64>& extents,
+                        bool octagon) {
+  const std::size_t dim = extents.size();
+  BoxedPiece bp;
+  for (i64 e : extents) {
+    const i64 lo = pick(rng, -3, 3);
+    bp.bbox.emplace_back(lo, lo + e - 1);
+  }
+  bp.piece.domain = poly::Polyhedron::box(bp.bbox);
+  if (octagon && dim >= 2) {
+    for (i64 r = pick(rng, 1, 2); r > 0; --r) {
+      poly::AffineExpr e(dim);
+      const std::size_t a = pick_dim(rng, 0, dim - 1);
+      const std::size_t b = pick_dim(rng, a + 1, dim);
+      e.coeff(a) = pick(rng, 0, 1) ? 1 : -1;
+      e.coeff(b) = pick(rng, 0, 1) ? 1 : -1;
+      e.const_term() = pick(rng, 0, 8);
+      bp.piece.domain.add_ge0(std::move(e));
+    }
+  }
+  bp.piece.label_fn = random_label_fn(rng, dim);
+  return bp;
+}
+
+// The parallelogram {lo <= i < lo + a, i + c <= j < i + c + b}: an octagon
+// with exactly a·b points.
+BoxedPiece parallelogram(std::mt19937_64& rng, i64 a, i64 b) {
+  const i64 lo = pick(rng, -3, 3), c = pick(rng, -2, 2);
+  const poly::AffineExpr i = poly::AffineExpr::var(2, 0);
+  const poly::AffineExpr j = poly::AffineExpr::var(2, 1);
+  BoxedPiece bp;
+  bp.bbox = {{lo, lo + a - 1}, {lo + c, lo + a - 1 + c + b - 1}};
+  bp.piece.domain = poly::Polyhedron(2);
+  bp.piece.domain.bound_var(0, lo, lo + a - 1);
+  bp.piece.domain.add_ge0(j - i - c);
+  bp.piece.domain.add_ge0(i - j + (c + b - 1));
+  bp.piece.label_fn = random_label_fn(rng, 2);
+  return bp;
+}
+
+scheduler::GroupSchedule random_schedule(std::mt19937_64& rng,
+                                         std::size_t dim) {
+  scheduler::GroupSchedule g;
+  g.stmts = {0};
+  for (std::size_t li = 0; li < dim; ++li) {
+    scheduler::Level lv;
+    lv.row.assign(dim, 0);
+    lv.row[pick_dim(rng, 0, dim)] = 1;
+    if (dim >= 2 && pick(rng, 0, 2) == 0)
+      lv.row[pick_dim(rng, 0, dim)] += pick(rng, -1, 1);
+    lv.parallel = pick(rng, 0, 1) == 1;
+    lv.new_band = li == 0 || pick(rng, 0, 2) == 0;
+    g.levels.push_back(std::move(lv));
+  }
+  return g;
+}
+
+// One statement at loop depth dim() with a self-dependence made of `piece`.
+fold::FoldedProgram self_dep_program(const poly::Piece& piece) {
+  const std::size_t dim = piece.domain.dim();
+  fold::FoldedProgram prog;
+  fold::FoldedStatement st{};
+  st.meta.id = 0;
+  st.meta.depth = dim;
+  st.meta.context.parts.assign(dim + 1, {});
+  prog.statements.push_back(std::move(st));
+  fold::FoldedDep d;
+  d.src = d.dst = 0;
+  d.kind = ddg::DepKind::kMemFlow;
+  d.relation = poly::PolySet(dim);
+  d.relation.add_piece(piece);
+  prog.deps.push_back(std::move(d));
+  return prog;
+}
+
+struct RefWalk {
+  bool capped = false;
+  u64 instances = 0;
+  std::vector<std::tuple<ClaimWitness::Kind, int, std::string>> witnesses;
+};
+
+// The materialized walk: all points first, then per point the source
+// instance and every level's distance from scratch.
+RefWalk reference_walk(const BoxedPiece& bp,
+                       const scheduler::GroupSchedule& g) {
+  const poly::Piece& piece = bp.piece;
+  const std::size_t dim = piece.domain.dim();
+  std::vector<std::vector<i64>> pts;
+  std::vector<i64> t(dim);
+  std::function<void(std::size_t)> scan = [&](std::size_t k) {
+    if (k == dim) {
+      if (piece.domain.contains(t)) pts.push_back(t);
+      return;
+    }
+    for (i64 v = bp.bbox[k].first; v <= bp.bbox[k].second; ++v) {
+      t[k] = v;
+      scan(k + 1);
+    }
+  };
+  scan(0);
+  RefWalk ref;
+  ref.capped = pts.size() > kClaimEnumCap;
+  if (ref.capped) return ref;
+  std::set<std::pair<std::size_t, ClaimWitness::Kind>> seen;
+  for (const auto& p : pts) {
+    ++ref.instances;
+    const std::vector<i128> src = piece.label_fn.eval(p);
+    bool satisfied = false, band_satisfied = false;
+    for (std::size_t li = 0; li < g.levels.size(); ++li) {
+      const scheduler::Level& lv = g.levels[li];
+      if (li == 0 || lv.new_band) band_satisfied = satisfied;
+      i128 dist = 0;
+      for (std::size_t j = 0; j < dim; ++j)  // shared depth == dim
+        dist += static_cast<i128>(lv.row[j]) * (p[j] - src[j]);
+      auto add = [&](ClaimWitness::Kind kind) {
+        if (!seen.insert({li, kind}).second) return;
+        std::ostringstream det;
+        det << "distance " << static_cast<long long>(dist) << " at instance (";
+        for (std::size_t j = 0; j < dim; ++j) det << (j ? "," : "") << p[j];
+        det << ")";
+        ref.witnesses.emplace_back(kind, static_cast<int>(li), det.str());
+      };
+      if (!satisfied && dist < 0)
+        add(ClaimWitness::Kind::kIllegalLevel);
+      else if (!band_satisfied && dist < 0)
+        add(ClaimWitness::Kind::kBandViolation);
+      if (lv.parallel && !satisfied && dist != 0)
+        add(ClaimWitness::Kind::kParallelContradicted);
+      if (dist > 0) satisfied = true;
+    }
+  }
+  return ref;
+}
+
+struct WalkTally {
+  int enumerated = 0, capped = 0, with_witnesses = 0, clean = 0;
+};
+
+void expect_walks_match(const BoxedPiece& bp, std::mt19937_64& rng,
+                        WalkTally& tally) {
+  const scheduler::GroupSchedule g = random_schedule(rng, bp.bbox.size());
+  const fold::FoldedProgram prog = self_dep_program(bp.piece);
+  feedback::RegionMetrics m;
+  m.sched.groups = {g};
+  const ClaimReport rep = check_parallel_claims(prog, m, /*downgrade=*/false);
+  const RefWalk ref = reference_walk(bp, g);
+  const std::string ctx = bp.piece.domain.str() + " labels " +
+                          bp.piece.label_fn.str();
+  EXPECT_EQ(rep.capped_pieces, ref.capped ? 1u : 0u) << ctx;
+  EXPECT_EQ(rep.enum_pieces, ref.capped ? 0u : 1u) << ctx;
+  EXPECT_EQ(rep.instances_checked, ref.instances) << ctx;
+  if (ref.capped) {
+    ++tally.capped;
+    return;  // decided per level by the exact tier, not walked
+  }
+  ++tally.enumerated;
+  ++(ref.witnesses.empty() ? tally.clean : tally.with_witnesses);
+  ASSERT_EQ(rep.witnesses.size(), ref.witnesses.size()) << ctx << rep.str();
+  for (std::size_t i = 0; i < ref.witnesses.size(); ++i) {
+    const ClaimWitness& w = rep.witnesses[i];
+    const auto& [kind, level, detail] = ref.witnesses[i];
+    EXPECT_EQ(w.kind, kind) << ctx << rep.str();
+    EXPECT_EQ(w.level, level) << ctx << rep.str();
+    const std::size_t at = w.message.find("s0 -> s0: ");
+    ASSERT_NE(at, std::string::npos) << w.message;
+    EXPECT_EQ(w.message.substr(at + 10), detail) << ctx;
+  }
+}
+
+TEST(ClaimsWalk, InPlaceWalkMatchesMaterializedWalkOnRandomPieces) {
+  WalkTally tally;
+  for (int seed = 0; seed < 400; ++seed) {
+    std::mt19937_64 rng(static_cast<u64>(seed) + 7000);
+    const std::size_t dim = static_cast<std::size_t>(pick(rng, 1, 3));
+    std::vector<i64> extents;
+    for (std::size_t j = 0; j < dim; ++j) extents.push_back(pick(rng, 1, 9));
+    expect_walks_match(random_piece(rng, extents, pick(rng, 0, 1) == 1), rng,
+                       tally);
+  }
+  EXPECT_EQ(tally.enumerated, 400);
+  EXPECT_GT(tally.with_witnesses, 0);
+  EXPECT_GT(tally.clean, 0);
+}
+
+TEST(ClaimsWalk, InPlaceWalkMatchesMaterializedWalkAroundTheCap) {
+  static_assert(kClaimEnumCap == 4096, "shapes below are sized for 4096");
+  WalkTally tally;
+  for (int seed = 0; seed < 8; ++seed) {
+    std::mt19937_64 rng(static_cast<u64>(seed) + 9000);
+    // Just under, at, and just over the cap: 4095, 4096 and 4097 points.
+    expect_walks_match(random_piece(rng, {63, 65}, false), rng, tally);
+    expect_walks_match(random_piece(rng, {64, 64}, false), rng, tally);
+    expect_walks_match(random_piece(rng, {17, 241}, false), rng, tally);
+    expect_walks_match(random_piece(rng, {5, 9, 91}, false), rng, tally);
+    expect_walks_match(random_piece(rng, {16, 16, 16}, false), rng, tally);
+    expect_walks_match(random_piece(rng, {17, 241, 1}, false), rng, tally);
+    expect_walks_match(parallelogram(rng, 63, 65), rng, tally);
+    expect_walks_match(parallelogram(rng, 64, 64), rng, tally);
+    expect_walks_match(parallelogram(rng, 17, 241), rng, tally);
+  }
+  EXPECT_EQ(tally.enumerated, 8 * 6);
+  EXPECT_EQ(tally.capped, 8 * 3);
+  EXPECT_GT(tally.with_witnesses, 0);
 }
 
 // The acceptance bar: on every mini-Rodinia workload, every dynamic
